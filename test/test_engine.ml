@@ -158,6 +158,44 @@ let check_equivalence ?(parallel = false) ~partitions ~seed () =
         (Value.to_string (Relation.data actual)))
     (queries ())
 
+(* Random nested differential: random well-typed queries over random
+   [people]/[orders] instances (Null scalars, Null and empty bags,
+   duplicate rows) must evaluate identically on the engine and on the
+   reference evaluator, at 1 and 4 partitions, sequential and on the
+   domain pool. *)
+let differential_count = 1000
+
+let engine_configs =
+  List.concat_map
+    (fun partitions ->
+      List.map
+        (fun parallel ->
+          { Engine.Exec.partitions; parallel; retry = Engine.Fault.no_retry })
+        [ false; true ])
+    [ 1; 4 ]
+
+let arb_query_db =
+  QCheck.make
+    ~print:(fun (q, db) ->
+      Fmt.str "query: %s@.db:@.%a" (Parser.query_to_string q)
+        Fmt.(list ~sep:cut (pair ~sep:(any ": ") string Relation.pp))
+        (Relation.Db.tables db))
+    QCheck.Gen.(pair Nested_gen.gen_query Nested_gen.gen_db)
+
+let prop_exec_matches_eval =
+  QCheck.Test.make ~count:differential_count
+    ~name:"random nested Exec = Eval" arb_query_db (fun (q, db) ->
+      let expected = Value.to_string (Relation.data (Eval.eval db q)) in
+      List.for_all
+        (fun (config : Engine.Exec.config) ->
+          let actual = Value.to_string (Relation.data (fst (Engine.Exec.run ~config db q))) in
+          String.equal expected actual
+          || QCheck.Test.fail_reportf
+               "partitions=%d parallel=%b@.expected %s@.actual   %s"
+               config.Engine.Exec.partitions config.Engine.Exec.parallel
+               expected actual)
+        engine_configs)
+
 let test_stats_recorded () =
   let db = mk_db ~seed:3 ~rows:30 in
   let g = Query.Gen.create () in
@@ -267,6 +305,9 @@ let () =
           Alcotest.test_case "7 partitions" `Quick (check_equivalence ~partitions:7 ~seed:13);
           Alcotest.test_case "4 partitions, parallel domains" `Quick
             (check_equivalence ~parallel:true ~partitions:4 ~seed:14);
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2103 |])
+            prop_exec_matches_eval;
         ] );
       ( "infrastructure",
         [
