@@ -2,7 +2,7 @@
 # server, bench, examples) and runs the full test suite, then a
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot).  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke bench-columnar bench-chaos bench-obs bench-approx bench-recover
+.PHONY: verify build test fuzz bench-smoke bench-chaos bench-obs bench-approx bench-recover
 
 verify:
 	dune build @all && dune runtest && $(MAKE) bench-smoke
@@ -24,11 +24,6 @@ fuzz:
 # Every bench family at the smallest scale — a CI guard, not a measurement.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
-
-# Row vs columnar engine A/B on the fig8 scenarios at scale 32; writes
-# the committed acceptance baseline for the columnar-engine PR.
-bench-columnar:
-	dune exec bench/main.exe -- columnar -json BENCH_PR7.json
 
 # Budget-ladder acceptance run (exact vs sampled vs top-k vs combined
 # at scales 32-256); writes the committed baseline for the approx PR.

@@ -275,9 +275,8 @@ let write_json () =
       (Fmt.str
          "{\n\
          \  \"meta\": {\"git_commit\": %S, \"hostname\": %S, \"ocaml\": %S, \
-          \"word_size\": %d, \"row_engine\": %b},\n"
-         git_commit hostname Sys.ocaml_version Sys.word_size
-         (Engine.Columnar.row_engine ()));
+          \"word_size\": %d},\n"
+         git_commit hostname Sys.ocaml_version Sys.word_size);
     output_string oc
       (Fmt.str "  \"config\": {\"partitions\": %d, \"parallel\": %b},\n"
          !partitions !parallel);
@@ -1152,102 +1151,6 @@ let bench_obs ?(scale = 4) () =
   Obs.Log.clear_ring ();
   Obs.Log.set_level saved_level
 
-(* --- Columnar vs row engine (perf PR acceptance run) ----------------------
-
-   Runs the fig8 family twice in one process — first forcing the legacy
-   row-at-a-time engine, then the columnar batch engine — so the two
-   paths share warmup, data generation, and GC state.  With [--json] the
-   records land under benches "fig8-row" and "fig8-columnar"; diffing
-   the per-phase columns (tracing above all) is the acceptance check. *)
-
-let bench_columnar ?(scales = [ 32 ]) () =
-  let saved = Engine.Columnar.row_engine () in
-  Fun.protect ~finally:(fun () -> Engine.Columnar.set_row_engine saved)
-  @@ fun () ->
-  let reps = 5 in
-  Fmt.pr "@.== Columnar vs row engine (interleaved, per-phase min of %d) ==@."
-    reps;
-  Fmt.pr "%-6s %-6s %-8s %-10s %-10s %-10s %-10s@." "scen" "scale" "rows"
-    "engine" "query ms" "RP ms" "trace ms";
-  List.iter
-    (fun name ->
-      let s = scenario name in
-      List.iter
-        (fun scale ->
-          let inst = instance ~scale s in
-          (* One sample = a (query, explain) pair on each arm back to
-             back, row first.  Interleaving the arms inside every rep
-             means a noisy CPU window taxes both engines equally instead
-             of whichever sweep happened to be running; per-phase minima
-             across reps then discard the taxed samples. *)
-          let measure row_arm =
-            Engine.Columnar.set_row_engine row_arm;
-            Gc.full_major ();
-            let _, q =
-              time_span "bench.query" (fun sp -> run_query ~parent:sp inst)
-            in
-            Gc.full_major ();
-            (q, run_rp inst)
-          in
-          let samples =
-            List.init reps (fun _ -> (measure true, measure false))
-          in
-          let emit bench pick =
-            let qs, rps = List.split (List.map pick samples) in
-            let dur r = Obs.Span.duration_ms r.Whynot.Pipeline.span in
-            let q_ms = List.fold_left Float.min Float.infinity qs in
-            let best =
-              List.fold_left
-                (fun b r -> if dur r < dur b then r else b)
-                (List.hd rps) (List.tl rps)
-            in
-            let rp_ms = dur best in
-            let phase_mins =
-              List.map
-                (fun (p, ms) ->
-                  ( p,
-                    List.fold_left
-                      (fun acc r ->
-                        match
-                          List.assoc_opt p
-                            (Whynot.Pipeline.phase_durations_ms r)
-                        with
-                        | Some m -> Float.min acc m
-                        | None -> acc)
-                      ms (List.tl rps) ))
-                (Whynot.Pipeline.phase_durations_ms (List.hd rps))
-            in
-            Fmt.pr "%-6s %-6d %-8d %-10s %-10.2f %-10.2f %-10.2f@." name scale
-              (db_rows inst)
-              (if bench = "fig8-row" then "row" else "columnar")
-              q_ms rp_ms
-              (match List.assoc_opt "tracing" phase_mins with
-              | Some ms -> ms
-              | None -> 0.);
-            csv bench
-              ("scenario,scale,rows,query_ms,rp_ms," ^ phase_header)
-              (Fmt.str "%s,%d,%d,%.3f,%.3f,%s" name scale (db_rows inst) q_ms
-                 rp_ms
-                 (String.concat ","
-                    (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
-            add_json
-              {
-                jbench = bench;
-                jscenario = name;
-                jscale = scale;
-                jrows = db_rows inst;
-                jquery_ms = Some q_ms;
-                jrpnosa_ms = None;
-                jrp_ms = rp_ms;
-                jphases = phase_mins;
-                jgc = Whynot.Pipeline.phase_gc best;
-              }
-          in
-          emit "fig8-row" fst;
-          emit "fig8-columnar" snd)
-        scales)
-    [ "D1"; "D2"; "D3"; "D4"; "D5" ]
-
 (* --- Approx: budget-ladder speedups (PR acceptance run) -------------------
 
    Exact RP vs each degradation rung — sampled tracing (stride), top-k
@@ -1434,10 +1337,18 @@ let bench_recover ?(scale = 4) ?(replicate = 20_000) () =
                max_memory_bytes = None;
              })
         @@ fun () ->
-        let source = Engine.Dataset.distribute ~partitions:parts rows in
+        let source =
+          Engine.Dataset.distribute_cols ~partitions:parts
+            (Engine.Columnar.of_rows rows)
+        in
+        let hash_of b =
+          Array.map
+            (fun v -> Engine.Dataset.value_hash (key_of v))
+            (Engine.Columnar.to_values b)
+        in
         let shuffled, _ =
-          Engine.Dataset.shuffle_by ~barrier:(Fmt.str "bench-%s" name)
-            ~partitions:parts key_of source
+          Engine.Dataset.shuffle_hashed ~barrier:(Fmt.str "bench-%s" name)
+            ~partitions:parts hash_of source
         in
         ignore (Engine.Dataset.to_list shuffled : Nested.Value.t list);
         let lose_all () =
@@ -1544,7 +1455,6 @@ let smoke () =
   fig9 ~scales:[ 1 ] ();
   fig10 ~scale:1 ();
   fig11 ~scale:1 ();
-  bench_columnar ~scales:[ 1 ] ();
   bench_approx ~scales:[ 1 ] ();
   bench_recover ~scale:1 ~replicate:2_000 ()
 
@@ -1623,8 +1533,7 @@ let () =
   if wants "fig10" then fig10 ();
   if wants "fig11" then fig11 ();
   if wants "ablation" then ablation ();
-  (* engine A/B and smoke are targeted runs, never part of the default set *)
-  if wants_explicit "columnar" then bench_columnar ();
+  (* smoke is a targeted run, never part of the default set *)
   if wants_explicit "smoke" then smoke ();
   (* budget-ladder acceptance run: targeted, scales past the default sweep *)
   if wants_explicit "approx" then bench_approx ();

@@ -17,12 +17,16 @@ module Int_set = Opset.Int_set
 module Set_set = Opset.Set_set
 
 (* Cap on alternative failure sets tracked per row; beyond it the smallest
-   sets are kept (they lead to the minimal explanations). *)
+   sets are kept (they lead to the minimal explanations).  Every
+   truncation is counted on [msr.failure_sets.capped], so a cap that may
+   have dropped an explanation is visible. *)
 let max_alternatives = 64
+let m_capped = Obs.Metrics.counter "msr.failure_sets.capped"
 
 let cap_sets (sets : Set_set.t) : Set_set.t =
   if Set_set.cardinal sets <= max_alternatives then sets
   else
+    let () = Obs.Metrics.Counter.incr m_capped in
     let sorted =
       List.sort
         (fun a b -> compare (Int_set.cardinal a) (Int_set.cardinal b))
@@ -221,7 +225,7 @@ let bounds_ctx ?(sample_stride = 1) ~(bi : bounds_input)
   (* Flag-vector sweep over the root rows; trees are reconstructed only
      for the surviving rows that must be matched against the original
      result.  With a stride, only every s-th row (keyed on the global
-     rid, like the tracing sampler, so both engines sample identically)
+     rid, like the tracing sampler, so the sample is deterministic)
      is examined — this sweep dominates MSR time on large inputs, and
      the counts scale back up into unbiased estimates. *)
   let n_surviving_matching = ref 0
@@ -279,7 +283,7 @@ let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
    (tested), at the price of more false candidates when different rows
    witness the extend/skip conditions. *)
 
-(* Rows (by rid) that contribute to a consistent root row — the "lineage
+(* The rows (by rid) that contribute to a consistent root row — the "lineage
    of a consistent output tuple" of Algorithm 4, computed as the ancestor
    closure over parent edges. *)
 let contributing (tr : Tracing.t) : (int, unit) Hashtbl.t =

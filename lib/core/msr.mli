@@ -14,7 +14,9 @@ open Nested
 module Int_set = Opset.Int_set
 module Set_set = Opset.Set_set
 
-(** Cap on alternative failure sets tracked per row (smallest kept). *)
+(** Cap on alternative failure sets tracked per row (smallest kept).
+    Each truncation bumps the [msr.failure_sets.capped] counter of
+    {!Obs.Metrics.default}. *)
 val max_alternatives : int
 
 (** Memoized failure-set computation over a trace's lineage DAG.  For
@@ -28,7 +30,7 @@ val consistent_root_rids : Tracing.t -> int list
 
 (* --- the literal Algorithm 4 --- *)
 
-(** Rows contributing to a consistent root row (the "lineage of a
+(** The rows contributing to a consistent root row (the "lineage of a
     consistent output tuple"), as an ancestor closure. *)
 val contributing : Tracing.t -> (int, unit) Hashtbl.t
 
@@ -57,7 +59,7 @@ val bounds :
 
     [?sample_stride] (default 1 = exact) samples the side-effect bounds
     sweep: only every s-th root row — keyed on the global rid, exactly
-    like {!Tracing.run}'s sampler, so both engines sample identically —
+    like {!Tracing.run}'s sampler, so the sample is deterministic —
     is examined, and the counts are scaled back up into unbiased
     estimates.  Candidate operator sets always come from the consistent
     root rows' failure sets, so a sampled run finds the {e same}

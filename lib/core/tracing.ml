@@ -20,9 +20,7 @@
    merged annotated tables in Figures 4–7.  The annotations themselves are
    stored columnar ({!vann}: flat flag vectors plus an offset-encoded
    parent adjacency), with per-row {!trow} trees reconstructed lazily —
-   the relaxed evaluation runs over {!Engine.Columnar} batches unless the
-   row engine is active, in which case the original row-at-a-time
-   evaluation produces the same vectors from its row lists.
+   the relaxed evaluation runs over {!Engine.Columnar} batches.
 
    Aggregate constraints of the why-not question (e.g. revenue > 0) are
    checked *optimistically* via achievable ranges over sub-multisets of
@@ -104,48 +102,6 @@ let rng_at (r : (string * (float * float)) list array option) i =
 (* Drop an all-empty ranges array (the common case downstream tests). *)
 let norm_rng (arr : (string * (float * float)) list array) =
   if Array.for_all (fun l -> l = []) arr then None else Some arr
-
-(* Vector view of row-engine output: the row path computes trow lists and
-   derives the same vectors the columnar path computes natively. *)
-let vann_of_rows (rid0 : int) (rows : trow list) : vann =
-  let n = List.length rows in
-  let cons = Bytes.create n
-  and ret = Bytes.create n
-  and surv = Bytes.create n in
-  let ranges = Array.make n [] in
-  let any_ranges = ref false in
-  let total = ref 0 in
-  List.iteri
-    (fun i r ->
-      bset cons i r.consistent;
-      bset ret i r.retained;
-      bset surv i r.surviving;
-      if r.ranges <> [] then any_ranges := true;
-      ranges.(i) <- r.ranges;
-      total := !total + List.length r.parents)
-    rows;
-  let off = Array.make (n + 1) 0 in
-  let flat = Array.make !total 0 in
-  let k = ref 0 in
-  List.iteri
-    (fun i r ->
-      off.(i) <- !k;
-      List.iter
-        (fun p ->
-          flat.(!k) <- p;
-          incr k)
-        r.parents)
-    rows;
-  off.(n) <- !k;
-  {
-    v_n = n;
-    v_rid0 = rid0;
-    v_consistent = cons;
-    v_retained = ret;
-    v_surviving = surv;
-    v_parents = P_many (off, flat);
-    v_ranges = (if !any_ranges then Some ranges else None);
-  }
 
 let rows_of_ann (ann : vann) (data : C.t) : trow list =
   let vals = C.to_values data in
@@ -390,562 +346,7 @@ let nip_mask (nip : Nip.t) (b : C.t)
 
 type state = { mutable next_rid : int; mutable traces : op_trace list }
 
-let fresh_rid st =
-  let rid = st.next_rid in
-  st.next_rid <- rid + 1;
-  rid
-
-(* Row-path record: rows carry their (contiguous, ascending) rids already;
-   derive the flag vectors the columnar consumers read. *)
-let record st op nip trows =
-  let rid0 = st.next_rid - List.length trows in
-  st.traces <-
-    {
-      op_id = op.Query.id;
-      op_node = op.Query.node;
-      nip;
-      ann = vann_of_rows rid0 trows;
-      rows = Lazy.from_val trows;
-      data_at =
-        (let arr = lazy (Array.of_list trows) in
-         fun i -> (Lazy.force arr).(i).data);
-    }
-    :: st.traces;
-  trows
-
-(* key projection on a plain tuple *)
-let key_of attrs (t : Value.t) : Value.t =
-  Value.Tuple
-    (List.map
-       (fun a -> (a, Option.value ~default:Value.Null (Value.field a t)))
-       attrs)
-
-let group_by (key : trow -> Value.t) (trows : trow list) :
-    (Value.t * trow list) list =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun row ->
-      let k = key row in
-      match Hashtbl.find_opt tbl k with
-      | Some rs -> Hashtbl.replace tbl k (row :: rs)
-      | None ->
-        order := k :: !order;
-        Hashtbl.replace tbl k [ row ])
-    trows;
-  List.rev_map (fun k -> (k, List.rev (Hashtbl.find tbl k))) !order
-
-(* --- Row-at-a-time tracing (WHYNOT_ROW_ENGINE) --------------------------- *)
-
-let run_rows ~revalidate ~sample_stride ~(env : Typecheck.env)
-    (db : Relation.Db.t) (sa : Alternatives.sa) (bt : Backtrace.t) : t =
-  let st = { next_rid = 0; traces = [] } in
-  let q = sa.Alternatives.query in
-  (* rid -> consistency, for the no-re-validation ablation, which checks
-     compatibility at the table accesses only and then propagates the flag
-     forward (the behaviour of prior lineage-based approaches) *)
-  let row_consistency : (int, bool) Hashtbl.t = Hashtbl.create 256 in
-  let fields_of sub =
-    match Typecheck.infer_result env sub with
-    | Ok ty -> Vtype.relation_fields ty
-    | Error e ->
-      invalid_arg ("Tracing.run: ill-typed SA query: " ^ e.Typecheck.message)
-  in
-  let rec go (op : Query.t) : trow list =
-    let nip = Backtrace.op_nip bt op.Query.id in
-    let is_table =
-      match op.Query.node with Query.Table _ -> true | _ -> false
-    in
-    let mk ?(ranges = []) ?(retained = true) ?surviving ~parents data =
-      let surviving = Option.value ~default:retained surviving in
-      (* the rid is drawn before the consistency check so that sampled
-         runs skip re-validation on exactly the rows whose *global* rid
-         falls off the stride — the same rows the columnar engine skips,
-         because both engines allocate identical contiguous rid blocks *)
-      let rid = fresh_rid st in
-      let consistent =
-        if revalidate || is_table then
-          (sample_stride <= 1 || rid mod sample_stride = 0)
-          && row_matches nip data ranges
-        else
-          List.exists
-            (fun pid ->
-              Option.value ~default:false
-                (Hashtbl.find_opt row_consistency pid))
-            parents
-      in
-      Hashtbl.replace row_consistency rid consistent;
-      { rid; data; consistent; retained; surviving; parents; ranges }
-    in
-    match op.Query.node, op.Query.children with
-    | Query.Table name, [] ->
-      let rel = Relation.Db.find_exn name db in
-      let trows =
-        List.map
-          (fun t -> mk ~retained:true ~surviving:true ~parents:[] t)
-          (Relation.tuples rel)
-      in
-      record st op nip trows
-    | Query.Select pred, [ c ] ->
-      let input = go c in
-      let trows =
-        List.map
-          (fun r ->
-            let keeps = Expr.eval_pred r.data pred in
-            {
-              (mk ~ranges:r.ranges ~retained:keeps
-                 ~surviving:(r.surviving && keeps) ~parents:[ r.rid ] r.data)
-              with
-              consistent = r.consistent;
-            })
-          input
-      in
-      record st op nip trows
-    | Query.Project cols, [ c ] ->
-      let input = go c in
-      let project t =
-        Value.Tuple (List.map (fun (n, e) -> (n, Expr.eval t e)) cols)
-      in
-      let project_ranges ranges =
-        List.filter_map
-          (fun (n, e) ->
-            match e with
-            | Expr.Attr a ->
-              Option.map (fun iv -> (n, iv)) (List.assoc_opt a ranges)
-            | _ -> None)
-          cols
-      in
-      let trows =
-        List.map
-          (fun r ->
-            mk
-              ~ranges:(project_ranges r.ranges)
-              ~retained:true ~surviving:r.surviving ~parents:[ r.rid ]
-              (project r.data))
-          input
-      in
-      record st op nip trows
-    | Query.Rename pairs, [ c ] ->
-      let input = go c in
-      let rename_label l =
-        match List.find_opt (fun (_, old) -> String.equal old l) pairs with
-        | Some (fresh, _) -> fresh
-        | None -> l
-      in
-      let rename t =
-        match t with
-        | Value.Tuple fs ->
-          Value.Tuple (List.map (fun (l, v) -> (rename_label l, v)) fs)
-        | other -> other
-      in
-      let trows =
-        List.map
-          (fun r ->
-            mk
-              ~ranges:(List.map (fun (l, iv) -> (rename_label l, iv)) r.ranges)
-              ~retained:true ~surviving:r.surviving ~parents:[ r.rid ]
-              (rename r.data))
-          input
-      in
-      record st op nip trows
-    | Query.Dedup, [ c ] ->
-      let input = go c in
-      let trows =
-        List.map
-          (fun (data, members) ->
-            {
-              (mk ~retained:true
-                 ~surviving:(List.exists (fun m -> m.surviving) members)
-                 ~parents:(List.map (fun m -> m.rid) members)
-                 data)
-              with
-              consistent = List.exists (fun m -> m.consistent) members;
-            })
-          (group_by (fun r -> r.data) input)
-      in
-      record st op nip trows
-    | Query.Union, [ l; r ] ->
-      let il = go l and ir = go r in
-      let trows =
-        List.map
-          (fun p ->
-            {
-              (mk ~ranges:p.ranges ~retained:true ~surviving:p.surviving
-                 ~parents:[ p.rid ] p.data)
-              with
-              consistent = p.consistent;
-            })
-          (il @ ir)
-      in
-      record st op nip trows
-    | Query.Diff, [ l; r ] ->
-      let il = go l and ir = go r in
-      (* Relaxation keeps every left row; [surviving] reflects true bag
-         difference against the surviving right rows. *)
-      let surviving_right = Hashtbl.create 32 in
-      List.iter
-        (fun p ->
-          if p.surviving then
-            Hashtbl.replace surviving_right p.data
-              (1
-              + Option.value ~default:0
-                  (Hashtbl.find_opt surviving_right p.data)))
-        ir;
-      let trows =
-        List.map
-          (fun p ->
-            let removed =
-              p.surviving
-              &&
-              match Hashtbl.find_opt surviving_right p.data with
-              | Some n when n > 0 ->
-                Hashtbl.replace surviving_right p.data (n - 1);
-                true
-              | _ -> false
-            in
-            {
-              (mk ~ranges:p.ranges ~retained:(not removed)
-                 ~surviving:(p.surviving && not removed) ~parents:[ p.rid ]
-                 p.data)
-              with
-              consistent = p.consistent;
-            })
-          il
-      in
-      record st op nip trows
-    | Query.Flatten_tuple a, [ c ] ->
-      let input = go c in
-      let inner_ty =
-        match List.assoc_opt a (fields_of c) with
-        | Some ty -> ty
-        | None -> invalid_arg ("Tracing: unknown attribute " ^ a)
-      in
-      let trows =
-        List.map
-          (fun r ->
-            let data =
-              match Value.field a r.data with
-              | Some (Value.Tuple _ as inner) -> Value.concat_tuples r.data inner
-              | _ -> Value.concat_tuples r.data (Vtype.null_tuple inner_ty)
-            in
-            mk ~ranges:r.ranges ~retained:true ~surviving:r.surviving
-              ~parents:[ r.rid ] data)
-          input
-      in
-      record st op nip trows
-    | Query.Flatten (kind, a), [ c ] ->
-      let input = go c in
-      let inner_ty =
-        match List.assoc_opt a (fields_of c) with
-        | Some (Vtype.TBag ety) -> ety
-        | _ -> invalid_arg ("Tracing: attribute " ^ a ^ " is not a relation")
-      in
-      let trows =
-        List.concat_map
-          (fun r ->
-            let elems =
-              match Value.field a r.data with
-              | Some (Value.Bag _ as bag) -> Value.expand bag
-              | _ -> []
-            in
-            match elems with
-            | [] ->
-              (* tracked exactly because the inner flatten drops it *)
-              let keeps = kind = Query.Flat_outer in
-              [
-                mk ~ranges:r.ranges ~retained:keeps
-                  ~surviving:(r.surviving && keeps) ~parents:[ r.rid ]
-                  (Value.concat_tuples r.data (Vtype.null_tuple inner_ty));
-              ]
-            | elems ->
-              List.map
-                (fun u ->
-                  mk ~ranges:r.ranges ~retained:true ~surviving:r.surviving
-                    ~parents:[ r.rid ]
-                    (Value.concat_tuples r.data u))
-                elems)
-          input
-      in
-      record st op nip trows
-    | Query.Join (kind, pred), [ l; r ] ->
-      let il = go l and ir = go r in
-      let lnull = Vtype.null_tuple (Vtype.TTuple (fields_of l)) in
-      let rnull = Vtype.null_tuple (Vtype.TTuple (fields_of r)) in
-      let matched_l = Hashtbl.create 64 and matched_r = Hashtbl.create 64 in
-      let surv_matched_l = Hashtbl.create 64
-      and surv_matched_r = Hashtbl.create 64 in
-      (* Equi-key conjuncts make the candidate enumeration a hash join —
-         one of the design choices that keep tracing scalable (§6.1); any
-         pair satisfying the full predicate necessarily agrees on the
-         equi-key conjuncts, so probing by key is lossless and only the
-         residual predicate needs evaluating per candidate.  Candidates
-         are enumerated lazily, so even the keyless (cross-product) trace
-         never materializes the |L|·|R| pair list. *)
-      let lfields = List.map fst (fields_of l)
-      and rfields = List.map fst (fields_of r) in
-      let keys, residual = Engine.Exec.equi_split lfields rfields pred in
-      let candidate_pairs : (trow * trow) Seq.t =
-        match keys with
-        | [] ->
-          Seq.concat_map
-            (fun lp -> Seq.map (fun rp -> (lp, rp)) (List.to_seq ir))
-            (List.to_seq il)
-        | keys ->
-          let lkey_attrs = List.map fst keys
-          and rkey_attrs = List.map snd keys in
-          let key_of_row attrs t =
-            List.map
-              (fun a -> Option.value ~default:Value.Null (Value.field a t))
-              attrs
-          in
-          (* Rows whose key contains Null are not indexed: [Null = Null]
-             is false under [eval_pred], so they cannot match (and a Null
-             in a probe key then finds no bucket either). *)
-          let right_index = Hashtbl.create 256 in
-          List.iter
-            (fun rp ->
-              let k = key_of_row rkey_attrs rp.data in
-              if not (List.exists (fun v -> v = Value.Null) k) then
-                Hashtbl.replace right_index k
-                  (rp :: Option.value ~default:[] (Hashtbl.find_opt right_index k)))
-            ir;
-          Seq.concat_map
-            (fun lp ->
-              let k = key_of_row lkey_attrs lp.data in
-              Seq.map
-                (fun rp -> (lp, rp))
-                (List.to_seq
-                   (Option.value ~default:[] (Hashtbl.find_opt right_index k))))
-            (List.to_seq il)
-      in
-      let matched =
-        Seq.filter_map
-          (fun (lp, rp) ->
-            let data = Value.concat_tuples lp.data rp.data in
-            if Expr.eval_pred data residual then begin
-              Hashtbl.replace matched_l lp.rid ();
-              Hashtbl.replace matched_r rp.rid ();
-              if lp.surviving && rp.surviving then begin
-                Hashtbl.replace surv_matched_l lp.rid ();
-                Hashtbl.replace surv_matched_r rp.rid ()
-              end;
-              Some
-                (mk
-                   ~ranges:(lp.ranges @ rp.ranges)
-                   ~retained:true
-                   ~surviving:(lp.surviving && rp.surviving)
-                   ~parents:[ lp.rid; rp.rid ]
-                   data)
-            end
-            else None)
-          candidate_pairs
-        |> List.of_seq
-      in
-      let pad_left =
-        List.filter_map
-          (fun lp ->
-            if Hashtbl.mem matched_l lp.rid then None
-            else
-              let keeps = kind = Query.Left || kind = Query.Full in
-              Some
-                (mk ~ranges:lp.ranges ~retained:keeps
-                   ~surviving:
-                     (lp.surviving && keeps
-                     && not (Hashtbl.mem surv_matched_l lp.rid))
-                   ~parents:[ lp.rid ]
-                   (Value.concat_tuples lp.data rnull)))
-          il
-      in
-      let pad_right =
-        List.filter_map
-          (fun rp ->
-            if Hashtbl.mem matched_r rp.rid then None
-            else
-              let keeps = kind = Query.Right || kind = Query.Full in
-              Some
-                (mk ~ranges:rp.ranges ~retained:keeps
-                   ~surviving:
-                     (rp.surviving && keeps
-                     && not (Hashtbl.mem surv_matched_r rp.rid))
-                   ~parents:[ rp.rid ]
-                   (Value.concat_tuples lnull rp.data)))
-          ir
-      in
-      record st op nip (matched @ pad_left @ pad_right)
-    | Query.Nest_tuple (pairs, c_name), [ c ] ->
-      let input = go c in
-      let attrs = List.map snd pairs in
-      let nest t =
-        match t with
-        | Value.Tuple fs ->
-          let rest = List.filter (fun (l, _) -> not (List.mem l attrs)) fs in
-          let nested =
-            List.map
-              (fun (label, a) ->
-                (label, Option.value ~default:Value.Null (List.assoc_opt a fs)))
-              pairs
-          in
-          Value.Tuple (rest @ [ (c_name, Value.Tuple nested) ])
-        | other -> other
-      in
-      let trows =
-        List.map
-          (fun r ->
-            mk
-              ~ranges:
-                (List.filter (fun (l, _) -> not (List.mem l attrs)) r.ranges)
-              ~retained:true ~surviving:r.surviving ~parents:[ r.rid ]
-              (nest r.data))
-          input
-      in
-      record st op nip trows
-    | Query.Nest_rel (pairs, c_name), [ c ] ->
-      let input = go c in
-      let attrs = List.map snd pairs in
-      let all = List.map fst (fields_of c) in
-      let group_attrs = List.filter (fun a -> not (List.mem a attrs)) all in
-      let proj t =
-        Value.Tuple
-          (List.map
-             (fun (label, a) ->
-               (label, Option.value ~default:Value.Null (Value.field a t)))
-             pairs)
-      in
-      let nest_members members =
-        Value.bag_of_list (List.map (fun m -> proj m.data) members)
-      in
-      let trows =
-        List.concat_map
-          (fun (k, members) ->
-            let relaxed_data =
-              Value.concat_tuples k
-                (Value.Tuple [ (c_name, nest_members members) ])
-            in
-            let surviving_members = List.filter (fun m -> m.surviving) members in
-            let original_data =
-              if surviving_members = [] then None
-              else
-                Some
-                  (Value.concat_tuples k
-                     (Value.Tuple [ (c_name, nest_members surviving_members) ]))
-            in
-            let relaxed =
-              mk ~retained:true
-                ~surviving:(original_data = Some relaxed_data)
-                ~parents:(List.map (fun m -> m.rid) members)
-                relaxed_data
-            in
-            match original_data with
-            | Some od when od <> relaxed_data ->
-              [
-                relaxed;
-                mk ~retained:true ~surviving:true
-                  ~parents:(List.map (fun m -> m.rid) surviving_members)
-                  od;
-              ]
-            | _ -> [ relaxed ])
-          (group_by (fun r -> key_of group_attrs r.data) input)
-      in
-      record st op nip trows
-    | Query.Agg_tuple (fn, a, b), [ c ] ->
-      let input = go c in
-      let trows =
-        List.map
-          (fun r ->
-            let values =
-              match Value.field a r.data with
-              | Some (Value.Bag _ as bag) ->
-                List.map
-                  (fun v ->
-                    match v with
-                    | Value.Tuple [ (_, inner) ] -> inner
-                    | other -> other)
-                  (Value.expand bag)
-              | _ -> []
-            in
-            let data =
-              Value.concat_tuples r.data
-                (Value.Tuple [ (b, Agg.apply fn values) ])
-            in
-            let ranges =
-              match Agg.achievable_range fn values with
-              | Some iv -> (b, iv) :: r.ranges
-              | None -> r.ranges
-            in
-            mk ~ranges ~retained:true ~surviving:r.surviving ~parents:[ r.rid ]
-              data)
-          input
-      in
-      record st op nip trows
-    | Query.Group_agg (group, aggs), [ c ] ->
-      let input = go c in
-      let group_key t =
-        Value.Tuple
-          (List.map
-             (fun (label, a) ->
-               (label, Option.value ~default:Value.Null (Value.field a t)))
-             group)
-      in
-      let aggregate members =
-        let agg_fields_and_ranges =
-          List.map
-            (fun (fn, a, out) ->
-              let values =
-                match a with
-                | Some a ->
-                  List.map
-                    (fun m ->
-                      Option.value ~default:Value.Null (Value.field a m.data))
-                    members
-                | None -> List.map (fun _ -> Value.Int 1) members
-              in
-              let field = (out, Agg.apply fn values) in
-              let range =
-                Option.map (fun iv -> (out, iv)) (Agg.achievable_range fn values)
-              in
-              (field, range))
-            aggs
-        in
-        let fields = List.map fst agg_fields_and_ranges in
-        let ranges = List.filter_map snd agg_fields_and_ranges in
-        (fields, ranges)
-      in
-      let trows =
-        List.concat_map
-          (fun (k, members) ->
-            let fields, ranges = aggregate members in
-            let relaxed_data = Value.concat_tuples k (Value.Tuple fields) in
-            let surviving_members = List.filter (fun m -> m.surviving) members in
-            let original_data =
-              if surviving_members = [] then None
-              else
-                let fields, _ = aggregate surviving_members in
-                Some (Value.concat_tuples k (Value.Tuple fields))
-            in
-            let relaxed =
-              mk ~ranges ~retained:true
-                ~surviving:(original_data = Some relaxed_data)
-                ~parents:(List.map (fun m -> m.rid) members)
-                relaxed_data
-            in
-            match original_data with
-            | Some od when od <> relaxed_data ->
-              [
-                relaxed;
-                mk ~retained:true ~surviving:true
-                  ~parents:(List.map (fun m -> m.rid) surviving_members)
-                  od;
-              ]
-            | _ -> [ relaxed ])
-          (group_by (fun r -> group_key r.data) input)
-      in
-      record st op nip trows
-    | _ -> invalid_arg "Tracing.run: malformed query"
-  in
-  ignore (go q);
-  { sa; ops = List.rev st.traces; root_op = q.Query.id }
-
-(* --- Batch-native tracing (the default engine) --------------------------- *)
+(* --- Batch-native relaxed evaluation ----------------------------------- *)
 
 (* Per-operator result of the vectorized relaxed evaluation: the data
    batch plus the annotation vectors, before per-row trees exist. *)
@@ -960,9 +361,9 @@ type cres = {
   c_rng : (string * (float * float)) list array option;
 }
 
-(* Group rows by code, first-seen group order, members ascending — the
-   order [group_by] produces over the reconstructed rows (codes are exact
-   for structural equality, so the classes coincide). *)
+(* Group rows by code, first-seen group order, members ascending (codes
+   are exact for structural equality, so the classes are the groups of
+   equal rows). *)
 let group_indices (codes : int array) : int array array =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in
@@ -984,7 +385,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
   let q = sa.Alternatives.query in
   (* Stride-sampled NIP re-validation: gather every [stride]th row (in
      the congruence class of the op's first global rid, so the sampled
-     rows are exactly the rids the row engine samples), run the mask
+     rows are exactly the rids divisible by the stride), run the mask
      kernel on the sub-batch, and scatter the verdicts back into an
      all-false mask — off-sample rows conservatively read inconsistent.
      Must be called right before the op's [crecord], while [st.next_rid]
@@ -1019,9 +420,9 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
     | Error e ->
       invalid_arg ("Tracing.run: ill-typed SA query: " ^ e.Typecheck.message)
   in
-  (* Children's stored flags drive the no-re-validation ablation; they
-     equal the row engine's propagated values (the Select/Union/Diff/
-     Dedup overrides coincide with single-parent propagation). *)
+  (* Children's stored flags drive the no-re-validation ablation: a row
+     is consistent when some parent is (the Select/Union/Diff/Dedup
+     overrides coincide with single-parent propagation). *)
   let propagate (children : cres list) (par : parents) n : Bytes.t =
     let cons_of rid =
       List.exists
@@ -1035,8 +436,8 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
   in
   let rec go (op : Query.t) : cres =
     let nip = Backtrace.op_nip bt op.Query.id in
-    (* Record allocates the op's contiguous rid block post-children —
-       exactly the rids the row engine's allocation order yields. *)
+    (* Record allocates the op's contiguous rid block post-children, so
+       rids follow the operator tree in post-order. *)
     let crecord ~data ~cons ~ret ~surv ~par ~rng : cres =
       let n = C.length data in
       let rid0 = st.next_rid in
@@ -1281,7 +682,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
       in
       let null_inner = Vtype.null_tuple inner_ty in
       (* Expanded output interleaves one pad row at each empty-bag input
-         position, exactly like the row engine's [concat_map]. *)
+         position, in input order. *)
       let parent_idx, pad, right =
         match C.find_col r.c_data a with
         | Some (C.CBag bg) ->
@@ -1724,7 +1125,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
          canonicalisation matches [Value.bag_of_list]: equal projections
          (detected by code equality) merge their multiplicities, and the
          distinct representatives sort by [Value.compare] — so the lazy
-         tree reconstruction is byte-identical to the row engine's. *)
+         tree reconstruction is a canonical bag. *)
       let out_reps = ref []
       and out_elems = ref []
       and out_total = ref 0
@@ -2074,5 +1475,4 @@ let run ?(revalidate = true) ?(sample_stride = 1) ~(env : Typecheck.env)
      pipeline's per-phase retry scope, so an armed transient fault here
      is recomputed from the (immutable) backtrace and database. *)
   Obs.Faultinject.fire site_relaxed;
-  if C.row_engine () then run_rows ~revalidate ~sample_stride ~env db sa bt
-  else run_cols ~revalidate ~sample_stride ~env db sa bt
+  run_cols ~revalidate ~sample_stride ~env db sa bt

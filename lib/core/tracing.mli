@@ -104,9 +104,10 @@ val row_matches : Nip.t -> Value.t -> (string * (float * float)) list -> bool
 val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 
 (** Trace one schema alternative.  [bt] must be the backtrace of the SA's
-    (substituted) query.  Runs the batch-native relaxed evaluation unless
-    the row engine ([WHYNOT_ROW_ENGINE]) is active; both paths produce
-    identical traces (rids, flags, lineage, data).
+    (substituted) query, by a batch-native relaxed evaluation over
+    {!Engine.Columnar} batches.  Each operator's rows receive one
+    contiguous rid block, allocated in post-order over the operator
+    tree.
 
     [revalidate] (default true) controls the paper's second novel
     technique: with [false], compatibility is checked at the table
@@ -116,9 +117,8 @@ val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 
     [sample_stride] (default 1 = exact) re-validates only rows whose
     global rid is a multiple of the stride; all other rows conservatively
-    read inconsistent.  Because both engines allocate identical
-    contiguous rid blocks, a sampled trace is still engine-identical.
-    Sampling makes the consistent set (and hence the explanations
+    read inconsistent.  Rids depend only on the query and the data, so
+    a sampled trace is deterministic.  Sampling makes the consistent set (and hence the explanations
     derived from it) a 1-in-N subsample — callers must surface the
     [1/stride] confidence. *)
 val run :

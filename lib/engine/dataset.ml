@@ -2,11 +2,9 @@
 
    A dataset is an array of partitions.  Each partition holds tuples
    already expanded to their multiplicities (like rows of a Spark
-   DataFrame), stored either as a row list or as a columnar
-   {!Columnar.t} batch.  The row view ([partitions]/[to_list]) stays
-   the semantic boundary: columnar partitions reconstruct rows on
-   demand, so callers that think in trees keep working unchanged while
-   vectorized operators move contiguous column slices. *)
+   DataFrame) as a columnar {!Columnar.t} batch, either in memory or
+   checkpointed to disk.  Operators move contiguous column slices;
+   [to_list] reconstructs the rows at the result boundary. *)
 
 open Nested
 
@@ -27,7 +25,7 @@ type ckpt = {
   ck_recompute : (unit -> Columnar.t) option;
 }
 
-type part = Rows of Value.t list | Cols of Columnar.t | Ckpt of ckpt
+type part = Cols of Columnar.t | Ckpt of ckpt
 
 type t = { parts : part array }
 
@@ -92,49 +90,24 @@ let ckpt_fetch (c : ckpt) : Columnar.t =
     c.ck_state <- Live;
     b
 
-let part_rows = function
-  | Rows l -> l
-  | Cols b -> Columnar.to_rows b
-  | Ckpt c -> Columnar.to_rows (ckpt_fetch c)
+let part_cols = function Cols b -> b | Ckpt c -> ckpt_fetch c
 
-let part_cols = function
-  | Cols b -> b
-  | Rows l -> Columnar.of_rows l
-  | Ckpt c -> ckpt_fetch c
-
-let part_length = function
-  | Rows l -> List.length l
-  | Cols b -> Columnar.length b
-  | Ckpt c -> c.ck_rows
-
-let of_partitions partitions = { parts = Array.map (fun l -> Rows l) partitions }
+let part_length = function Cols b -> Columnar.length b | Ckpt c -> c.ck_rows
 let of_cpartitions batches = { parts = Array.map (fun b -> Cols b) batches }
-let partitions d = Array.map part_rows d.parts
 let cpartitions d = Array.map part_cols d.parts
 let cpartition d i = part_cols d.parts.(i)
-let partition d i = part_rows d.parts.(i)
 let partition_count d = Array.length d.parts
 let cardinal d = Array.fold_left (fun acc p -> acc + part_length p) 0 d.parts
 
 let to_list (d : t) : Value.t list =
-  List.concat_map part_rows (Array.to_list d.parts)
+  List.concat_map (fun p -> Columnar.to_rows (part_cols p)) (Array.to_list d.parts)
 
 (* Hash of a value, stable across runs (no use of OCaml's randomized
-   hashing).  The columnar engine vectorizes the identical function
-   ({!Columnar.hash_col}), so both layouts shuffle rows to the same
-   partitions. *)
+   hashing); {!Columnar.hash_col} vectorizes the identical function. *)
 let value_hash = Columnar.value_hash
 
-(* Distribute a list of tuples round-robin over [n] partitions. *)
-let distribute ~partitions:n (rows : Value.t list) : t =
-  let n = max 1 n in
-  let parts = Array.make n [] in
-  List.iteri (fun i row -> parts.(i mod n) <- row :: parts.(i mod n)) rows;
-  { parts = Array.map (fun l -> Rows (List.rev l)) parts }
-
 (* Round-robin distribution of a columnar batch: partition [i] takes
-   rows [i, i+n, ...] — the same rows, in the same order, as
-   [distribute] over the reconstructed list. *)
+   rows [i, i+n, ...], in order. *)
 let distribute_cols ~partitions:n (b : Columnar.t) : t =
   let n = max 1 n in
   let total = Columnar.length b in
@@ -143,27 +116,6 @@ let distribute_cols ~partitions:n (b : Columnar.t) : t =
           let m = if total <= i then 0 else 1 + ((total - i - 1) / n) in
           Cols (Columnar.gather b (Array.init m (fun j -> i + (j * n)))));
   }
-
-(* Row-path shuffle body, shared between the public entry point and the
-   recompute closures of its checkpoint barrier.  Returns the row
-   partitions and the number of rows moved across partitions. *)
-let shuffle_by_raw ~partitions:n (key : Value.t -> Value.t) (d : t) :
-    Value.t list array * int =
-  let n = max 1 n in
-  let parts = Array.make n [] in
-  let moved = ref 0 in
-  Array.iteri
-    (fun src p ->
-      List.iter
-        (fun row ->
-          (* [land max_int] rather than [abs]: [abs min_int] is negative
-             (it overflows), which would make [dst] out of bounds. *)
-          let dst = value_hash (key row) land max_int mod n in
-          if dst <> src then incr moved;
-          parts.(dst) <- row :: parts.(dst))
-        (part_rows p))
-    d.parts;
-  (Array.map List.rev parts, !moved)
 
 (* Vectorized shuffle body, shared with the barrier recompute closures:
    [hash_of] produces one destination hash per row of a batch; moved
@@ -237,30 +189,9 @@ let memo_shuffle (run : unit -> 'a) : unit -> 'a =
           memo := Some ps;
           ps)
 
-(* Repartition by a key function (a shuffle).  With [barrier], every
+(* Repartition by destination hash (a shuffle).  With [barrier], every
    output partition is checkpointed under that label — lineage
    downstream of this point is truncated here. *)
-let shuffle_by ?barrier ~partitions:n (key : Value.t -> Value.t) (d : t) :
-    t * int =
-  let parts, moved = shuffle_by_raw ~partitions:n key d in
-  match barrier with
-  | None -> ({ parts = Array.map (fun l -> Rows l) parts }, moved)
-  | Some label ->
-    let recomputed =
-      memo_shuffle (fun () -> fst (shuffle_by_raw ~partitions:n key d))
-    in
-    ( {
-        parts =
-          Array.mapi
-            (fun i l ->
-              let recompute () = Columnar.of_rows (recomputed ()).(i) in
-              checkpoint_part ~label ~index:i ~recompute:(Some recompute)
-                (Columnar.of_rows l))
-            parts;
-      },
-      moved )
-
-(* Vectorized shuffle; [barrier] as in {!shuffle_by}. *)
 let shuffle_hashed ?barrier ~partitions:n (hash_of : Columnar.t -> int array)
     (d : t) : t * int =
   let batches, moved = shuffle_hashed_raw ~partitions:n hash_of d in
@@ -282,19 +213,9 @@ let shuffle_hashed ?barrier ~partitions:n (hash_of : Columnar.t -> int array)
 
 (* Collapse to a single partition (a gather). *)
 let gather (d : t) : t * int =
-  let all_cols =
-    Array.for_all
-      (function Cols _ | Ckpt _ -> true | Rows _ -> false)
-      d.parts
-  in
-  if all_cols then begin
-    let b = Columnar.vstack (Array.to_list (cpartitions d)) in
-    Columnar.note_bytes_moved (Columnar.bytes b);
-    ({ parts = [| Cols b |] }, Columnar.length b)
-  end
-  else
-    let rows = to_list d in
-    ({ parts = [| Rows rows |] }, List.length rows)
+  let b = Columnar.vstack (Array.to_list (cpartitions d)) in
+  Columnar.note_bytes_moved (Columnar.bytes b);
+  ({ parts = [| Cols b |] }, Columnar.length b)
 
 (* Simulate losing a partition before a task re-attempt: a checkpointed
    partition drops its in-memory cache so the replay re-reads the
@@ -306,7 +227,7 @@ let recover_part (p : part) =
   | Ckpt c ->
     c.ck_cache <- None;
     c.ck_state <- Lost
-  | Rows _ | Cols _ -> bump m_from_source
+  | Cols _ -> bump m_from_source
 
 let recover_partition (d : t) i = recover_part d.parts.(i)
 
@@ -324,11 +245,12 @@ let recover_partition (d : t) i = recover_part d.parts.(i)
    the replay at the barrier).  The ["engine.partition"] chaos site
    fires once per attempt, inside the retry scope, so an armed fault on
    one attempt is survived by the next. *)
-let map_parts_generic ?(parallel = false) ?pool ?(retry = Fault.no_retry)
-    ?(label = "partition") ?on_retry (f : part -> part) (d : t) : t =
+let map_cpartitions ?(parallel = false) ?pool ?(retry = Fault.no_retry)
+    ?(label = "partition") ?on_retry (f : Columnar.t -> Columnar.t) (d : t) :
+    t =
   let task _i (p : part) () =
     Obs.Faultinject.fire site_partition;
-    f p
+    Cols (f (part_cols p))
   and fault_retry i p =
     Some
       (fun ~attempt e ->
@@ -349,29 +271,12 @@ let map_parts_generic ?(parallel = false) ?pool ?(retry = Fault.no_retry)
     let indexed = Array.mapi (fun i p -> (i, p)) d.parts in
     { parts = Pool.map_array pool (fun (i, p) -> run i p) indexed }
 
-let map_partitions ?parallel ?pool ?retry ?label ?on_retry
-    (f : Value.t list -> Value.t list) (d : t) : t =
-  map_parts_generic ?parallel ?pool ?retry ?label ?on_retry
-    (fun p -> Rows (f (part_rows p)))
-    d
-
-(* Columnar sibling of {!map_partitions}: same task-attempt semantics
-   (chaos site, retries), batch-in/batch-out. *)
-let map_cpartitions ?parallel ?pool ?retry ?label ?on_retry
-    (f : Columnar.t -> Columnar.t) (d : t) : t =
-  map_parts_generic ?parallel ?pool ?retry ?label ?on_retry
-    (fun p -> Cols (f (part_cols p)))
-    d
-
 (* --- Spill ---------------------------------------------------------
 
-   The watermark bounds the dataset's *resident* footprint: columnar
-   partitions report their arena size exactly; row partitions (the
-   escape-hatch engine) are estimated, since sizing a tree precisely
-   would cost as much as converting it. *)
+   The watermark bounds the dataset's *resident* footprint: partitions
+   report their arena size exactly. *)
 
 let part_mem_bytes = function
-  | Rows l -> 128 * List.length l
   | Cols b -> Columnar.bytes b
   | Ckpt { ck_cache = Some b; _ } -> Columnar.bytes b
   | Ckpt { ck_cache = None; _ } -> 0
@@ -404,8 +309,7 @@ let spill_over ~watermark (d : t) : int =
              bump m_spill_batches;
              Obs.Metrics.Counter.incr ~by:sizes.(i) (Lazy.force m_spill_bytes)
            | Ckpt _ -> ()
-           | (Rows _ | Cols _) as p -> (
-             let b = part_cols p in
+           | Cols b -> (
              try
                let path = Checkpoint.fresh_path ~label:"spill" in
                ignore (Checkpoint.write ~path b);
@@ -440,8 +344,7 @@ let spill_over ~watermark (d : t) : int =
   end
 
 let of_relation ~partitions (r : Relation.t) : t =
-  if Columnar.row_engine () then distribute ~partitions (Relation.tuples r)
-  else distribute_cols ~partitions (Columnar.of_relation r)
+  distribute_cols ~partitions (Columnar.of_relation r)
 
 let to_relation ~schema (d : t) : Relation.t =
   Relation.of_tuples ~schema (to_list d)

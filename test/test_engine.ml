@@ -196,6 +196,23 @@ let prop_exec_matches_eval =
                expected actual)
         engine_configs)
 
+(* Every registry scenario's original query at scale 1, at 1 and 4
+   partitions, sequential and on the domain pool, against the reference
+   evaluator. *)
+let test_scenario_matches_eval (s : Scenarios.Scenario.t) () =
+  let inst = s.Scenarios.Scenario.make ~scale:1 () in
+  let phi = inst.Scenarios.Scenario.question in
+  let db = phi.Whynot.Question.db and q = phi.Whynot.Question.query in
+  let expected = Value.to_string (Relation.data (Eval.eval db q)) in
+  List.iter
+    (fun (config : Engine.Exec.config) ->
+      Alcotest.(check string)
+        (Fmt.str "partitions=%d parallel=%b" config.Engine.Exec.partitions
+           config.Engine.Exec.parallel)
+        expected
+        (Value.to_string (Relation.data (fst (Engine.Exec.run ~config db q)))))
+    engine_configs
+
 let test_stats_recorded () =
   let db = mk_db ~seed:3 ~rows:30 in
   let g = Query.Gen.create () in
@@ -208,7 +225,9 @@ let test_stats_recorded () =
 
 let test_distribute_gather () =
   let rows = List.init 17 (fun i -> v_int i) in
-  let d = Engine.Dataset.distribute ~partitions:4 rows in
+  let d =
+    Engine.Dataset.distribute_cols ~partitions:4 (Engine.Columnar.of_rows rows)
+  in
   Alcotest.(check int) "partitions" 4 (Engine.Dataset.partition_count d);
   Alcotest.(check int) "cardinality preserved" 17 (Engine.Dataset.cardinal d);
   let gathered, moved = Engine.Dataset.gather d in
@@ -217,32 +236,31 @@ let test_distribute_gather () =
 
 let test_shuffle_colocates () =
   let rows = List.init 40 (fun i -> tup [ ("k", v_int (i mod 4)) ]) in
-  let d = Engine.Dataset.distribute ~partitions:4 rows in
+  let d =
+    Engine.Dataset.distribute_cols ~partitions:4 (Engine.Columnar.of_rows rows)
+  in
+  let key t = Option.get (Value.field "k" t) in
   let shuffled, _ =
-    Engine.Dataset.shuffle_by ~partitions:4
-      (fun t -> Option.get (Value.field "k" t))
+    Engine.Dataset.shuffle_hashed ~partitions:4
+      (fun b ->
+        Array.map
+          (fun t -> Engine.Dataset.value_hash (key t))
+          (Engine.Columnar.to_values b))
       d
   in
+  Alcotest.(check int) "rows preserved" 40 (Engine.Dataset.cardinal shuffled);
   (* all rows with the same key must be in the same partition *)
-  Array.iter
-    (fun part ->
-      let keys =
-        List.sort_uniq Value.compare
-          (List.map (fun t -> Option.get (Value.field "k" t)) part)
-      in
-      ignore keys)
-    (Engine.Dataset.partitions shuffled);
   let key_partition = Hashtbl.create 8 in
   Array.iteri
     (fun pi part ->
       List.iter
         (fun t ->
-          let k = Option.get (Value.field "k" t) in
+          let k = key t in
           match Hashtbl.find_opt key_partition k with
           | Some pj -> Alcotest.(check int) "key colocated" pj pi
           | None -> Hashtbl.replace key_partition k pi)
-        part)
-    (Engine.Dataset.partitions shuffled)
+        (Engine.Columnar.to_rows part))
+    (Engine.Dataset.cpartitions shuffled)
 
 (* --- physical-plan analysis --- *)
 
@@ -309,6 +327,13 @@ let () =
             ~rand:(Random.State.make [| 2103 |])
             prop_exec_matches_eval;
         ] );
+      ( "registry",
+        List.map
+          (fun (s : Scenarios.Scenario.t) ->
+            Alcotest.test_case
+              (s.Scenarios.Scenario.name ^ " Exec = Eval")
+              `Quick (test_scenario_matches_eval s))
+          Scenarios.Registry.all );
       ( "infrastructure",
         [
           Alcotest.test_case "stats" `Quick test_stats_recorded;

@@ -139,6 +139,57 @@ let test_from_trace_explanations () =
   Alcotest.(check (list (list int))) "SA0 contributes {σ}" [ [ 3 ] ]
     (List.sort compare (List.map Whynot.Explanation.op_list expls))
 
+(* Seven selections over all 2^7 bit rows, grouped into one nested row:
+   each member's failure set is the set of selections its bits fail, so
+   the group row has 128 alternatives — past [max_alternatives] — and the
+   truncation must show on the [msr.failure_sets.capped] counter. *)
+let test_cap_counted () =
+  let bits = List.init 7 (fun i -> Fmt.str "b%d" i) in
+  let schema =
+    Vtype.relation
+      (("k", Vtype.TInt) :: List.map (fun b -> (b, Vtype.TInt)) bits)
+  in
+  let rows =
+    List.init 128 (fun r ->
+        Value.Tuple
+          (("k", Value.Int 0)
+          :: List.mapi (fun i b -> (b, Value.Int ((r lsr i) land 1))) bits))
+  in
+  let db = Relation.Db.of_list [ ("bits", Relation.of_tuples ~schema rows) ] in
+  let env = [ ("bits", schema) ] in
+  let g = Query.Gen.create () in
+  let q =
+    Query.nest_rel g bits ~into:"bs"
+      (List.fold_left
+         (fun q b -> Query.select g (Expr.Cmp (Expr.Eq, Expr.attr b, Expr.int 1)) q)
+         (Query.table g "bits") bits)
+  in
+  let sa =
+    {
+      Whynot.Alternatives.index = 0;
+      query = q;
+      changed_ops = Int_set.empty;
+      description = "original";
+    }
+  in
+  let missing = Nip.tup [ ("k", Nip.int 0); ("bs", Nip.some_element) ] in
+  let bt = Whynot.Backtrace.run ~env q missing in
+  let tr = Whynot.Tracing.run ~env db sa bt in
+  let capped () =
+    Obs.Metrics.Counter.value (Obs.Metrics.counter "msr.failure_sets.capped")
+  in
+  let before = capped () in
+  let fs = Whynot.Msr.failure_sets tr in
+  let widest =
+    List.fold_left
+      (fun acc rid -> max acc (Set_set.cardinal (fs rid)))
+      0
+      (Whynot.Msr.consistent_root_rids tr)
+  in
+  Alcotest.(check int) "the group row kept the cap" Whynot.Msr.max_alternatives
+    widest;
+  Alcotest.(check bool) "truncation counted" true (capped () > before)
+
 let () =
   Alcotest.run "msr"
     [
@@ -146,6 +197,7 @@ let () =
         [
           Alcotest.test_case "running example" `Quick test_failure_sets_running_example;
           Alcotest.test_case "contributing closure" `Quick test_contributing_closure;
+          Alcotest.test_case "cap truncation counted" `Quick test_cap_counted;
         ] );
       ( "algorithm-4",
         [

@@ -235,10 +235,15 @@ let key_of = function
     match List.assoc_opt "k" fields with Some v -> v | None -> Value.Null)
   | _ -> Value.Null
 
+(* Destination hashes of a batch's rows by [key]. *)
+let hash_by key (b : C.t) =
+  Array.map (fun row -> D.value_hash (key row)) (C.to_values b)
+
 let shuffle_input () =
-  D.distribute ~partitions:4
-    (List.init 64 (fun i ->
-         Value.Tuple [ ("k", Value.Int (i mod 7)); ("v", Value.Int i) ]))
+  D.distribute_cols ~partitions:4
+    (C.of_rows
+       (List.init 64 (fun i ->
+            Value.Tuple [ ("k", Value.Int (i mod 7)); ("v", Value.Int i) ])))
 
 let sorted_list d = List.sort Value.compare (D.to_list d)
 
@@ -248,23 +253,24 @@ let test_replay_from_checkpoint () =
   Obs.Faultinject.reset ();
   with_ckpt ~shuffles:true (fun () ->
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-replay" ~partitions:4 key_of (shuffle_input ())
+        D.shuffle_hashed ~barrier:"t-replay" ~partitions:4 (hash_by key_of)
+          (shuffle_input ())
       in
       let expected =
-        sorted_list (D.map_partitions ~label:"base" Fun.id shuffled)
+        sorted_list (D.map_cpartitions ~label:"base" Fun.id shuffled)
       in
       let from_ckpt0 = counter_value "engine.recover.from_checkpoint" in
       let from_src0 = counter_value "engine.recover.from_source" in
       let replayed0 = counter_value "engine.recover.replayed_partitions" in
       let failed = ref false in
       let out =
-        D.map_partitions ~retry:(fast_retries 3) ~label:"flaky"
-          (fun rows ->
+        D.map_cpartitions ~retry:(fast_retries 3) ~label:"flaky"
+          (fun b ->
             if not !failed then begin
               failed := true;
               raise (transient "chaos")
             end;
-            rows)
+            b)
           shuffled
       in
       Alcotest.(check (list string))
@@ -285,18 +291,20 @@ let test_replay_from_checkpoint () =
    source input instead. *)
 let test_replay_from_source_without_barrier () =
   Obs.Faultinject.reset ();
-  let shuffled, _ = D.shuffle_by ~partitions:4 key_of (shuffle_input ()) in
+  let shuffled, _ =
+    D.shuffle_hashed ~partitions:4 (hash_by key_of) (shuffle_input ())
+  in
   let from_ckpt0 = counter_value "engine.recover.from_checkpoint" in
   let from_src0 = counter_value "engine.recover.from_source" in
   let failed = ref false in
   let out =
-    D.map_partitions ~retry:(fast_retries 3) ~label:"flaky"
-      (fun rows ->
+    D.map_cpartitions ~retry:(fast_retries 3) ~label:"flaky"
+      (fun b ->
         if not !failed then begin
           failed := true;
           raise (transient "chaos")
         end;
-        rows)
+        b)
       shuffled
   in
   Alcotest.(check int) "all rows survive" 64 (List.length (D.to_list out));
@@ -313,14 +321,15 @@ let test_torn_shuffle_read_is_retryable () =
   Obs.Faultinject.reset ();
   with_ckpt ~shuffles:true (fun () ->
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-torn" ~partitions:4 key_of (shuffle_input ())
+        D.shuffle_hashed ~barrier:"t-torn" ~partitions:4 (hash_by key_of)
+          (shuffle_input ())
       in
       (* lose a partition, then make its first re-read fault *)
       D.recover_partition shuffled 0;
       Obs.Faultinject.arm "engine.shuffle.read"
         (Obs.Faultinject.fail_once (transient "torn read"));
       let out =
-        D.map_partitions ~retry:(fast_retries 3) ~label:"reader" Fun.id
+        D.map_cpartitions ~retry:(fast_retries 3) ~label:"reader" Fun.id
           shuffled
       in
       Obs.Faultinject.reset ();
@@ -343,22 +352,23 @@ let test_garbled_checkpoint_recomputes () =
                Bytes.to_string b
              end));
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-crc" ~partitions:4 key_of (shuffle_input ())
+        D.shuffle_hashed ~barrier:"t-crc" ~partitions:4 (hash_by key_of)
+          (shuffle_input ())
       in
       let expected =
-        sorted_list (D.map_partitions ~label:"base" Fun.id shuffled)
+        sorted_list (D.map_cpartitions ~label:"base" Fun.id shuffled)
       in
       let corrupt0 = counter_value "engine.checkpoint.corrupt" in
       let from_src0 = counter_value "engine.recover.from_source" in
       let failed = ref false in
       let out =
-        D.map_partitions ~retry:(fast_retries 3) ~label:"flaky"
-          (fun rows ->
+        D.map_cpartitions ~retry:(fast_retries 3) ~label:"flaky"
+          (fun b ->
             if not !failed then begin
               failed := true;
               raise (transient "chaos")
             end;
-            rows)
+            b)
           shuffled
       in
       Obs.Faultinject.reset ();
@@ -375,9 +385,9 @@ let test_garbled_checkpoint_recomputes () =
 
 (* Losing several partitions of one barrier costs ONE upstream
    re-shuffle, not one per partition: the recompute closures share a
-   memoized shuffle body.  Counted via the key function — the shuffle
-   body calls it once per row, so k independent re-shuffles would show
-   k * 64 calls. *)
+   memoized shuffle body.  Counted via the hash function — the shuffle
+   body hashes every row once, so k independent re-shuffles would show
+   k * 64 hashed rows. *)
 let test_barrier_recompute_memoized () =
   Obs.Faultinject.reset ();
   with_ckpt ~shuffles:true (fun () ->
@@ -392,12 +402,13 @@ let test_barrier_recompute_memoized () =
                Bytes.to_string b
              end));
       let calls = ref 0 in
-      let key v =
-        incr calls;
-        key_of v
+      let hash_of b =
+        calls := !calls + C.length b;
+        hash_by key_of b
       in
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-memo" ~partitions:4 key (shuffle_input ())
+        D.shuffle_hashed ~barrier:"t-memo" ~partitions:4 hash_of
+          (shuffle_input ())
       in
       calls := 0;
       for i = 0 to 3 do
@@ -419,7 +430,8 @@ let test_failed_checkpoint_write_degrades () =
         (Obs.Faultinject.Fail { times = -1; exn_ = Failure "disk full" });
       let wf0 = counter_value "engine.checkpoint.write_failures" in
       let shuffled, _ =
-        D.shuffle_by ~barrier:"t-wfail" ~partitions:4 key_of (shuffle_input ())
+        D.shuffle_hashed ~barrier:"t-wfail" ~partitions:4 (hash_by key_of)
+          (shuffle_input ())
       in
       Obs.Faultinject.reset ();
       Alcotest.(check int) "all rows survive failed writes" 64
