@@ -53,9 +53,10 @@ let equi_split (lfields : string list) (rfields : string list) (p : Expr.pred)
 
 let equi_keys lfields rfields p = fst (equi_split lfields rfields p)
 
-(* Per-row kernels shared by narrow operators.  All of these are staged:
-   applying the first argument(s) precomputes the lookup structures once,
-   so the per-row closure does no list scans over the parameters. *)
+(* Per-row helpers: the columnar kernels below fall back to these for
+   boxed or shape-mixed columns.  All of these are staged: applying the
+   first argument(s) precomputes the lookup structures once, so the
+   per-row closure does no list scans over the parameters. *)
 
 (* Key projection staged over the attribute list: one pass over the
    row's fields instead of one [Value.field] scan per key attribute. *)
@@ -168,10 +169,9 @@ let group_by_attrs attrs rows = group_rows (key_of attrs) rows
 
 (* --- Columnar (vectorized) kernels --------------------------------- *)
 
-(* Every operator runs one of these over columnar partitions.  A kernel
-   falls back to the row helpers above only for boxed or shape-mixed
-   columns; row order within a partition is irrelevant because bags are
-   normalized downstream. *)
+(* Every operator runs one of these over columnar partitions; row order
+   within a partition is irrelevant because bags are normalized
+   downstream. *)
 
 (* Destination hashes for a shuffle keyed by labelled attribute
    projections ([(label, source attr)] pairs), identical to hashing
@@ -620,8 +620,8 @@ let nest_rel_cols ~group_attrs pairs c_name (b : Columnar.t) : Columnar.t =
          (group_by_attrs group_attrs (Columnar.to_rows b)))
 
 (* Grouped aggregation on one (already shuffled) partition: key columns
-   are lax like [group_key]; aggregate inputs are strict like
-   [aggregate]'s member lookups. *)
+   are lax (a missing attribute reads Null, like [group_key]); aggregate
+   inputs are strict (a missing attribute raises). *)
 let group_agg_cols group aggs (b : Columnar.t) : Columnar.t =
   let n = Columnar.length b in
   match Columnar.cols b with

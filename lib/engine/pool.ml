@@ -1,8 +1,7 @@
 (* Fixed-size domain pool — the engine's task-parallel substrate.
 
    OCaml 5 domains are heavyweight (each owns a minor heap and a slice
-   of the GC), so spawning one per partition per operator — what
-   [Dataset.map_cpartitions] did before this module existed — costs more
+   of the GC), so spawning one per partition per operator costs more
    than the partition work it parallelizes.  Instead we spawn
    [Domain.recommended_domain_count () - 1] workers once, feed them
    through a mutex/condvar work queue, and hand callers futures.

@@ -163,8 +163,6 @@ let check_equivalence ?(parallel = false) ~partitions ~seed () =
    duplicate rows) must evaluate identically on the engine and on the
    reference evaluator, at 1 and 4 partitions, sequential and on the
    domain pool. *)
-let differential_count = 1000
-
 let engine_configs =
   List.concat_map
     (fun partitions ->
@@ -173,6 +171,9 @@ let engine_configs =
           { Engine.Exec.partitions; parallel; retry = Engine.Fault.no_retry })
         [ false; true ])
     [ 1; 4 ]
+
+let exec_string config db q =
+  Value.to_string (Relation.data (fst (Engine.Exec.run ~config db q)))
 
 let arb_query_db =
   QCheck.make
@@ -183,12 +184,12 @@ let arb_query_db =
     QCheck.Gen.(pair Nested_gen.gen_query Nested_gen.gen_db)
 
 let prop_exec_matches_eval =
-  QCheck.Test.make ~count:differential_count
-    ~name:"random nested Exec = Eval" arb_query_db (fun (q, db) ->
+  QCheck.Test.make ~count:1000 ~name:"random nested Exec = Eval" arb_query_db
+    (fun (q, db) ->
       let expected = Value.to_string (Relation.data (Eval.eval db q)) in
       List.for_all
         (fun (config : Engine.Exec.config) ->
-          let actual = Value.to_string (Relation.data (fst (Engine.Exec.run ~config db q))) in
+          let actual = exec_string config db q in
           String.equal expected actual
           || QCheck.Test.fail_reportf
                "partitions=%d parallel=%b@.expected %s@.actual   %s"
@@ -209,8 +210,7 @@ let test_scenario_matches_eval (s : Scenarios.Scenario.t) () =
       Alcotest.(check string)
         (Fmt.str "partitions=%d parallel=%b" config.Engine.Exec.partitions
            config.Engine.Exec.parallel)
-        expected
-        (Value.to_string (Relation.data (fst (Engine.Exec.run ~config db q)))))
+        expected (exec_string config db q))
     engine_configs
 
 let test_stats_recorded () =
