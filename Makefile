@@ -2,7 +2,7 @@
 # server, bench, examples) and runs the full test suite, then a
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot).  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke bench-chaos bench-obs bench-approx bench-recover
+.PHONY: verify build test fuzz bench-smoke bench-chaos bench-obs bench-approx bench-recover bench-fig8
 
 verify:
 	dune build @all && dune runtest && $(MAKE) bench-smoke
@@ -24,6 +24,12 @@ fuzz:
 # Every bench family at the smallest scale — a CI guard, not a measurement.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
+
+# Failure-set acceptance run: DBLP D1–D5 at scales 1–32, min-of-5 phase
+# times per point; writes the committed baseline for the bitmask
+# failure sets (MSR against tracing at scale 32).
+bench-fig8:
+	dune exec bench/main.exe -- fig8 -json BENCH_PR13.json
 
 # Budget-ladder acceptance run (exact vs sampled vs top-k vs combined
 # at scales 32-256); writes the committed baseline for the approx PR.

@@ -18,15 +18,66 @@ module Set_set = Opset.Set_set
 
 (* Cap on alternative failure sets tracked per row; beyond it the smallest
    sets are kept (they lead to the minimal explanations).  Every
-   truncation is counted on [msr.failure_sets.capped], so a cap that may
-   have dropped an explanation is visible. *)
+   truncation is counted on [msr.failure_sets.capped] and on the
+   caller's per-trace count, so a cap that may have dropped an
+   explanation is visible. *)
 let max_alternatives = 64
 let m_capped = Obs.Metrics.counter "msr.failure_sets.capped"
+let m_tree_fallback = Obs.Metrics.counter "msr.failure_sets.tree_fallback"
 
-let cap_sets (sets : Set_set.t) : Set_set.t =
+let note_capped capped =
+  Obs.Metrics.Counter.incr m_capped;
+  incr capped
+
+(* Parameter-free operators (Table 2) cannot be reparameterized; a row
+   they fail to retain has no derivation under any reparameterization
+   (its failure-set is the empty set of alternatives, ⊥). *)
+let reparameterizable (node : Nrab.Query.node) =
+  match node with
+  | Nrab.Query.Table _ | Nrab.Query.Union | Nrab.Query.Diff
+  | Nrab.Query.Dedup | Nrab.Query.Product ->
+    false
+  | _ -> true
+
+(* Group-style operators: each (preferably consistent) member derivation
+   is an alternative way to influence the row. *)
+let is_group (node : Nrab.Query.node) =
+  match node with
+  | Nrab.Query.Nest_rel _ | Nrab.Query.Group_agg _ | Nrab.Query.Dedup
+  | Nrab.Query.Agg_tuple _ ->
+    true
+  | _ -> false
+
+(* Rid → operator index, -1 where no operator owns the rid.  Rids are
+   contiguous per operator, so a binary search over the blocks' starts
+   finds the owner without a per-row table. *)
+let rid_owner (ops : Tracing.op_trace array) : int -> int =
+  let start j = Tracing.rid0 ops.(j) in
+  let stop j = start j + Tracing.n_rows ops.(j) in
+  let order = Array.init (Array.length ops) Fun.id in
+  (* an empty block sorts before a nonempty one at the same start *)
+  Array.sort (fun a b -> compare (start a, stop a) (start b, stop b)) order;
+  let starts = Array.map start order and stops = Array.map stop order in
+  fun rid ->
+    let lo = ref 0 and hi = ref (Array.length starts) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if starts.(mid) <= rid then lo := mid + 1 else hi := mid
+    done;
+    let k = !lo - 1 in
+    if k >= 0 && rid < stops.(k) then order.(k) else -1
+
+(* --- Failure sets as trees ----------------------------------------------
+
+   The reference implementation: families as [Set_set] of [Int_set],
+   memoized by rid.  It is the only path for traces of more than
+   [Sys.int_size] operators, whose sets do not fit an [int] bitmask, and
+   the oracle the bitmask path below is tested against. *)
+
+let cap_sets ~capped (sets : Set_set.t) : Set_set.t =
   if Set_set.cardinal sets <= max_alternatives then sets
   else
-    let () = Obs.Metrics.Counter.incr m_capped in
+    let () = note_capped capped in
     let sorted =
       List.sort
         (fun a b -> compare (Int_set.cardinal a) (Int_set.cardinal b))
@@ -39,42 +90,15 @@ let cap_sets (sets : Set_set.t) : Set_set.t =
     in
     Set_set.of_list (take max_alternatives sorted)
 
-(* Dense rid → owning operator map: rids are contiguous per operator, so
-   one array lookup replaces the per-row hash index (and reads the
-   annotation vectors directly — no per-row trees are forced). *)
-let rid_owners (tr : Tracing.t) : Tracing.op_trace option array =
-  let total =
-    List.fold_left
-      (fun acc ot -> max acc (Tracing.rid0 ot + Tracing.n_rows ot))
-      0 tr.Tracing.ops
-  in
-  let owner = Array.make total None in
-  List.iter
-    (fun (ot : Tracing.op_trace) ->
-      let r0 = Tracing.rid0 ot in
-      for i = 0 to Tracing.n_rows ot - 1 do
-        owner.(r0 + i) <- Some ot
-      done)
-    tr.Tracing.ops;
-  owner
-
-(* All alternative failure sets of a row's derivations. *)
-let failure_sets (tr : Tracing.t) : int -> Set_set.t =
-  let owner = rid_owners tr in
+let tree_families ~capped (tr : Tracing.t) : int -> Set_set.t =
+  let ops = Array.of_list tr.Tracing.ops in
+  let owner = rid_owner ops in
   let owner_of rid =
-    if rid >= 0 && rid < Array.length owner then owner.(rid) else None
+    let j = owner rid in
+    if j >= 0 then Some ops.(j) else None
   in
+  let cap_sets = cap_sets ~capped in
   let memo = Hashtbl.create 256 in
-  (* Parameter-free operators (Table 2) cannot be reparameterized; a row
-     they fail to retain has no derivation under any reparameterization
-     (its failure-set is the empty set of alternatives, ⊥). *)
-  let reparameterizable (node : Nrab.Query.node) =
-    match node with
-    | Nrab.Query.Table _ | Nrab.Query.Union | Nrab.Query.Diff
-    | Nrab.Query.Dedup | Nrab.Query.Product ->
-      false
-    | _ -> true
-  in
   let rec fs (rid : int) : Set_set.t =
     match Hashtbl.find_opt memo rid with
     | Some s -> s
@@ -111,11 +135,7 @@ let failure_sets (tr : Tracing.t) : int -> Set_set.t =
               parents
           in
           let base =
-            match ot.Tracing.op_node with
-            | Nrab.Query.Nest_rel _ | Nrab.Query.Group_agg _
-            | Nrab.Query.Dedup | Nrab.Query.Agg_tuple _ ->
-              (* group-style operators: each (preferably consistent) member
-                 derivation is an alternative way to influence the row *)
+            if is_group ot.Tracing.op_node then begin
               let members =
                 List.filter (fun pid -> Option.is_some (owner_of pid)) parents
               in
@@ -141,7 +161,8 @@ let failure_sets (tr : Tracing.t) : int -> Set_set.t =
                 if parents = [] then Set_set.singleton Int_set.empty
                 else Set_set.empty
               else cap_sets alternatives
-            | _ -> combine_parents parents
+            end
+            else combine_parents parents
           in
           cap_sets (Set_set.map (fun s -> Int_set.union s own) base)
       in
@@ -149,6 +170,266 @@ let failure_sets (tr : Tracing.t) : int -> Set_set.t =
       result
   in
   fs
+
+let failure_sets_tree (tr : Tracing.t) : int -> Set_set.t =
+  tree_families ~capped:(ref 0) tr
+
+(* --- Failure sets as bitmasks -------------------------------------------
+
+   With at most [Sys.int_size] operators, an operator set is an [int]:
+   bit k is the k-th operator of the trace in ascending op-id order, and
+   "s ⊆ e" is [s land lnot e = 0].  A row's family is a sorted,
+   deduplicated [int array], memoized densely by rid and computed on
+   demand from the queried rids (a bottom-up pass would also build the
+   rows no root row reaches).  The bit order makes
+   [cap_order] agree with [cap_sets]' (cardinality, [Int_set.compare])
+   order, so both paths keep the same 64 sets. *)
+
+let popcount x =
+  let rec go n x = if x = 0 then n else go (n + 1) (x land (x - 1)) in
+  go 0 x
+
+(* For equal cardinality, [Int_set.compare] puts first the set holding
+   the lowest element in which the two differ. *)
+let cap_order a b =
+  let c = compare (popcount a) (popcount b) in
+  if c <> 0 || a = b then c
+  else
+    let d = a lxor b in
+    if a land (d land -d) <> 0 then -1 else 1
+
+(* Sort and deduplicate the first [n] masks of [buf] into a fresh family. *)
+let normalize (buf : int array) (n : int) : int array =
+  let a = Array.sub buf 0 n in
+  Array.sort Int.compare a;
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || a.(k) <> a.(!m - 1) then begin
+      a.(!m) <- a.(k);
+      incr m
+    end
+  done;
+  if !m = n then a else Array.sub a 0 !m
+
+let cap_masks ~capped (fam : int array) : int array =
+  if Array.length fam <= max_alternatives then fam
+  else begin
+    note_capped capped;
+    let sorted = Array.copy fam in
+    Array.sort cap_order sorted;
+    let kept = Array.sub sorted 0 max_alternatives in
+    Array.sort Int.compare kept;
+    kept
+  end
+
+(* A family with [bit] added to each of its sets. *)
+let add_bit (fam : int array) (bit : int) : int array =
+  normalize (Array.map (fun s -> s lor bit) fam) (Array.length fam)
+
+(* Cross-product union of two families of at least two sets each. *)
+let cross_sets ~capped (a : int array) (b : int array) : int array =
+  let la = Array.length a and lb = Array.length b in
+  let buf = Array.make (la * lb) 0 in
+  for x = 0 to la - 1 do
+    for y = 0 to lb - 1 do
+      buf.((x * lb) + y) <- a.(x) lor b.(y)
+    done
+  done;
+  cap_masks ~capped (normalize buf (la * lb))
+
+type masks = {
+  ids : int array;  (* bit k → op id, ascending *)
+  family : int -> int array;
+}
+
+(* Families are interned: the memo maps a rid to a family number, so
+   filling it writes plain ints, and the common one-set families are
+   shared per mask instead of allocated per row.  Number 0 is ⊥ (no
+   alternatives), number 1 is {∅}. *)
+let mask_families ~capped (tr : Tracing.t) : masks =
+  let ops = Array.of_list tr.Tracing.ops in
+  let owner = rid_owner ops in
+  let total =
+    Array.fold_left
+      (fun acc ot -> max acc (Tracing.rid0 ot + Tracing.n_rows ot))
+      0 ops
+  in
+  let ids =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.map (fun ot -> ot.Tracing.op_id) tr.Tracing.ops))
+  in
+  let bit_of id =
+    let rec find k = if ids.(k) = id then 1 lsl k else find (k + 1) in
+    find 0
+  in
+  let bit = Array.map (fun ot -> bit_of ot.Tracing.op_id) ops in
+  let reparam = Array.map (fun ot -> reparameterizable ot.Tracing.op_node) ops in
+  let group = Array.map (fun ot -> is_group ot.Tracing.op_node) ops in
+  let valid pid = owner pid >= 0 in
+  let consistent pid =
+    let ot = ops.(owner pid) in
+    Tracing.consistent_at ot (pid - Tracing.rid0 ot)
+  in
+  (* the interned families, by number *)
+  let table = ref (Array.make 16 [||]) and n_table = ref 0 in
+  let add fam =
+    if !n_table = Array.length !table then begin
+      let grown = Array.make (2 * !n_table) [||] in
+      Array.blit !table 0 grown 0 !n_table;
+      table := grown
+    end;
+    !table.(!n_table) <- fam;
+    incr n_table;
+    !n_table - 1
+  in
+  let dead = add [||] and only_empty = add [| 0 |] in
+  let singletons = Hashtbl.create 16 in
+  Hashtbl.replace singletons 0 only_empty;
+  let singleton s =
+    match Hashtbl.find_opt singletons s with
+    | Some f -> f
+    | None ->
+      let f = add [| s |] in
+      Hashtbl.replace singletons s f;
+      f
+  in
+  let intern (fam : int array) : int =
+    match fam with [||] -> dead | [| s |] -> singleton s | _ -> add fam
+  in
+  let fam f = !table.(f) in
+  let with_bit f b =
+    match fam f with
+    | [||] -> f
+    | [| s |] -> singleton (s lor b)
+    | sets -> intern (add_bit sets b)
+  in
+  let cross a b =
+    if a = dead || b = dead then dead
+    else if a = only_empty then b
+    else if b = only_empty then a
+    else
+      match (fam a, fam b) with
+      | [| s |], _ -> with_bit b s
+      | _, [| s |] -> with_bit a s
+      | fa, fb -> intern (cross_sets ~capped fa fb)
+  in
+  (* memo: 0 = not computed yet, else family number + 1 *)
+  let memo = Array.make total 0 in
+  let rec family rid =
+    if rid < 0 || rid >= total then only_empty
+    else
+      let m = memo.(rid) in
+      if m > 0 then m - 1
+      else begin
+        (* cycle guard; traces are acyclic so this is never observed *)
+        memo.(rid) <- only_empty + 1;
+        let f = compute rid in
+        memo.(rid) <- f + 1;
+        f
+      end
+  and compute rid =
+    let j = owner rid in
+    if j < 0 then only_empty
+    else
+      let ot = ops.(j) in
+      let i = rid - Tracing.rid0 ot in
+      let retained = Tracing.retained_at ot i in
+      if (not retained) && not reparam.(j) then dead
+      else
+        let parents = ot.Tracing.ann.Tracing.v_parents in
+        let base =
+          if group.(j) then members parents i else combine parents i
+        in
+        (* [base] is capped already and adding a bit never grows a
+           family, so no further cap applies *)
+        if retained then base else with_bit base bit.(j)
+  (* cross-product union over parents (joins have two) *)
+  and combine parents i =
+    match parents with
+    | Tracing.P_none -> only_empty
+    | Tracing.P_self base -> family (base + i)
+    | Tracing.P_one a -> family a.(i)
+    | Tracing.P_many (off, flat) ->
+      let acc = ref only_empty in
+      for k = off.(i) to off.(i + 1) - 1 do
+        acc := cross !acc (family flat.(k))
+      done;
+      !acc
+  (* the union of the preferred members' families: the consistent
+     members, or all of them when none is; all member derivations dead
+     ⇒ this row is dead too, unless it genuinely has no parents *)
+  and members parents i =
+    match parents with
+    | Tracing.P_none -> only_empty
+    | Tracing.P_self base -> if valid (base + i) then family (base + i) else dead
+    | Tracing.P_one a -> if valid a.(i) then family a.(i) else dead
+    | Tracing.P_many (off, flat) ->
+      let lo = off.(i) and hi = off.(i + 1) - 1 in
+      if hi < lo then only_empty
+      else begin
+        let any_consistent = ref false and k = ref lo in
+        while (not !any_consistent) && !k <= hi do
+          let pid = flat.(!k) in
+          if valid pid && consistent pid then any_consistent := true;
+          incr k
+        done;
+        (* gather the live families, skipping repeats of the last one *)
+        let gathered = ref [] and last = ref dead and distinct = ref 0 in
+        for k = lo to hi do
+          let pid = flat.(k) in
+          if valid pid && ((not !any_consistent) || consistent pid) then begin
+            let f = family pid in
+            if f <> dead && f <> !last then begin
+              gathered := fam f :: !gathered;
+              last := f;
+              incr distinct
+            end
+          end
+        done;
+        match !distinct with
+        | 0 -> dead
+        | 1 -> !last
+        | _ ->
+          let sets = Array.concat !gathered in
+          intern (cap_masks ~capped (normalize sets (Array.length sets)))
+      end
+  in
+  { ids; family = (fun rid -> fam (family rid)) }
+
+(* --- Selecting the representation ---------------------------------------- *)
+
+(* A trace's failure-set families: bitmasks when its operators fit an
+   [int], trees otherwise. *)
+type families = Masks of masks | Trees of (int -> Set_set.t)
+
+let families ~capped (tr : Tracing.t) : families =
+  if List.length tr.Tracing.ops <= Sys.int_size then
+    Masks (mask_families ~capped tr)
+  else begin
+    Obs.Metrics.Counter.incr m_tree_fallback;
+    Trees (tree_families ~capped tr)
+  end
+
+let ops_of_mask (ids : int array) (m : int) : Int_set.t =
+  let s = ref Int_set.empty in
+  Array.iteri (fun k id -> if m land (1 lsl k) <> 0 then s := Int_set.add id !s) ids;
+  !s
+
+(* Operators outside the trace have no bit; no failure set holds them. *)
+let mask_of_ops (ids : int array) (ops : Int_set.t) : int =
+  let m = ref 0 in
+  Array.iteri (fun k id -> if Int_set.mem id ops then m := !m lor (1 lsl k)) ids;
+  !m
+
+let failure_sets (tr : Tracing.t) : int -> Set_set.t =
+  match families ~capped:(ref 0) tr with
+  | Trees fs -> fs
+  | Masks { ids; family } ->
+    fun rid ->
+      Array.fold_left
+        (fun acc m -> Set_set.add (ops_of_mask ids m) acc)
+        Set_set.empty (family rid)
 
 (* The root operator's trace, and its consistent rows (the candidate
    missing answers) by rid — flag-vector reads, no tree reconstruction. *)
@@ -159,10 +440,11 @@ let consistent_root_rids (tr : Tracing.t) : int list =
   match root_ot tr with
   | None -> []
   | Some ot ->
-    let r0 = Tracing.rid0 ot in
-    List.filter_map
-      (fun i -> if Tracing.consistent_at ot i then Some (r0 + i) else None)
-      (List.init (Tracing.n_rows ot) Fun.id)
+    let r0 = Tracing.rid0 ot and rids = ref [] in
+    for i = Tracing.n_rows ot - 1 downto 0 do
+      if Tracing.consistent_at ot i then rids := (r0 + i) :: !rids
+    done;
+    !rids
 
 (* --- Side-effect bounds (Section 5.4) ----------------------------------- *)
 
@@ -196,13 +478,13 @@ type bounds_ctx = {
   ub_minus : int;
       (* UB(Δ−): original tuples whose presence is not witnessed
          unchanged — a floor shared by every candidate's upper bound *)
-  nonsurviving : Set_set.t array;
-      (* failure sets of each (sampled) non-surviving root row *)
+  covered : Int_set.t -> int;
+      (* how many (sampled) non-surviving root rows have a failure set
+         within the given operator set *)
 }
 
 let bounds_ctx ?(sample_stride = 1) ~(bi : bounds_input)
-    ~(q : Nrab.Query.t) (tr : Tracing.t) (fs : int -> Set_set.t) : bounds_ctx
-    =
+    ~(q : Nrab.Query.t) (tr : Tracing.t) (fams : families) : bounds_ctx =
   let stride = max 1 sample_stride in
   let original_count = List.length bi.original_result in
   (* Bucket the original result by structural hash so each root row is
@@ -241,29 +523,36 @@ let bounds_ctx ?(sample_stride = 1) ~(bi : bounds_input)
           incr n_surviving_;
           if in_original (Tracing.data_at ot i) then incr n_surviving_matching
         end
-        else nonsurv := fs (r0 + i) :: !nonsurv
+        else nonsurv := (r0 + i) :: !nonsurv
     done);
+  let nonsurviving = Array.of_list (List.rev !nonsurv) in
+  let count_rows test rows =
+    Array.fold_left (fun acc x -> if test x then acc + 1 else acc) 0 rows
+  in
+  let covered =
+    match fams with
+    | Masks { ids; family } ->
+      let rows = Array.map family nonsurviving in
+      fun ops ->
+        let outside = lnot (mask_of_ops ids ops) in
+        count_rows (Array.exists (fun s -> s land outside = 0)) rows
+    | Trees fs ->
+      let rows = Array.map fs nonsurviving in
+      fun ops -> count_rows (Set_set.exists (fun s -> Int_set.subset s ops)) rows
+  in
   {
     cq = q;
     original_count;
     stride;
     n_surviving = stride * !n_surviving_;
     ub_minus = max 0 (original_count - (stride * !n_surviving_matching));
-    nonsurviving = Array.of_list (List.rev !nonsurv);
+    covered;
   }
 
 let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
   (* UB(Δ+): rows that may newly appear when the explanation's operators
      are reparameterized (scaled back up when the sweep was sampled) *)
-  let ub_plus =
-    ctx.stride
-    * Array.fold_left
-        (fun acc sets ->
-          if Set_set.exists (fun s -> Int_set.subset s expl_ops) sets then
-            acc + 1
-          else acc)
-        0 ctx.nonsurviving
-  in
+  let ub_plus = ctx.stride * ctx.covered expl_ops in
   let lb =
     if contains_filtering_op ctx.cq expl_ops then 0
     else max 0 (ctx.n_surviving - ctx.original_count) + ctx.ub_minus
@@ -271,8 +560,8 @@ let bounds_with (ctx : bounds_ctx) (expl_ops : Int_set.t) : int * int =
   (lb, ub_plus + ctx.ub_minus)
 
 let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
-    (fs : int -> Set_set.t) (expl_ops : Int_set.t) : int * int =
-  bounds_with (bounds_ctx ~bi ~q tr fs) expl_ops
+    (expl_ops : Int_set.t) : int * int =
+  bounds_with (bounds_ctx ~bi ~q tr (families ~capped:(ref 0) tr)) expl_ops
 
 (* --- Literal Algorithm 4 (queue-based) ----------------------------------
 
@@ -287,16 +576,16 @@ let bounds ~(bi : bounds_input) ~(q : Nrab.Query.t) (tr : Tracing.t)
    of a consistent output tuple" of Algorithm 4, computed as the ancestor
    closure over parent edges. *)
 let contributing (tr : Tracing.t) : (int, unit) Hashtbl.t =
-  let owner = rid_owners tr in
+  let ops = Array.of_list tr.Tracing.ops in
+  let owner = rid_owner ops in
   let marked = Hashtbl.create 256 in
   let rec mark rid =
     if not (Hashtbl.mem marked rid) then begin
       Hashtbl.replace marked rid ();
-      if rid >= 0 && rid < Array.length owner then
-        match owner.(rid) with
-        | Some ot ->
-          List.iter mark (Tracing.parents_at ot (rid - Tracing.rid0 ot))
-        | None -> ()
+      let j = owner rid in
+      if j >= 0 then
+        let ot = ops.(j) in
+        List.iter mark (Tracing.parents_at ot (rid - Tracing.rid0 ot))
     end
   in
   List.iter mark (consistent_root_rids tr);
@@ -316,13 +605,6 @@ let algorithm4 (tr : Tracing.t) : Set_set.t =
     done;
     (!extend, !skip)
   in
-  let reparameterizable (ot : Tracing.op_trace) =
-    match ot.Tracing.op_node with
-    | Nrab.Query.Table _ | Nrab.Query.Dedup | Nrab.Query.Union
-    | Nrab.Query.Diff | Nrab.Query.Product ->
-      false
-    | _ -> true
-  in
   let results = ref Set_set.empty in
   let add sr = if not (Int_set.is_empty sr) then results := Set_set.add sr !results in
   (* queue elements: remaining operator list × current partial SR *)
@@ -338,7 +620,7 @@ let algorithm4 (tr : Tracing.t) : Set_set.t =
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.replace seen key ();
         let extend, skip = conditions ot in
-        let extend = extend && reparameterizable ot in
+        let extend = extend && reparameterizable ot.Tracing.op_node in
         if extend then begin
           let extended = Int_set.add ot.Tracing.op_id sr in
           add extended;
@@ -361,15 +643,27 @@ let algorithm4 (tr : Tracing.t) : Set_set.t =
 (* Candidate operator sets of one trace: the failure sets of every
    consistent root row, each unioned with the SA's SR prefix, minus the
    empty set (which would mean the answer is not missing at all). *)
-let candidate_sets (tr : Tracing.t) (fs : int -> Set_set.t) : Set_set.t =
+let candidate_sets (tr : Tracing.t) (fams : families) : Set_set.t =
   let prefix = tr.Tracing.sa.Alternatives.changed_ops in
+  let roots = consistent_root_rids tr in
   let sets =
-    List.fold_left
-      (fun acc rid ->
-        Set_set.fold
-          (fun s acc -> Set_set.add (Int_set.union prefix s) acc)
-          (fs rid) acc)
-      Set_set.empty (consistent_root_rids tr)
+    match fams with
+    | Trees fs ->
+      List.fold_left
+        (fun acc rid ->
+          Set_set.fold
+            (fun s acc -> Set_set.add (Int_set.union prefix s) acc)
+            (fs rid) acc)
+        Set_set.empty roots
+    | Masks { ids; family } ->
+      (* deduplicate as masks; convert only the distinct sets *)
+      let masks =
+        List.sort_uniq Int.compare
+          (List.concat_map (fun rid -> Array.to_list (family rid)) roots)
+      in
+      List.fold_left
+        (fun acc m -> Set_set.add (Int_set.union prefix (ops_of_mask ids m)) acc)
+        Set_set.empty masks
   in
   Set_set.remove Int_set.empty sets
 
@@ -378,15 +672,15 @@ let candidate_sets (tr : Tracing.t) (fs : int -> Set_set.t) : Set_set.t =
    from the consistent root rows' failure sets either way, so a sampled
    run finds the same explanations with estimated side-effect bounds. *)
 let from_trace ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
-    (tr : Tracing.t) : Explanation.t list =
-  let fs = failure_sets tr in
-  let ctx = bounds_ctx ?sample_stride ~bi ~q tr fs in
+    ?(capped = ref 0) (tr : Tracing.t) : Explanation.t list =
+  let fams = families ~capped tr in
+  let ctx = bounds_ctx ?sample_stride ~bi ~q tr fams in
   let sa_index = tr.Tracing.sa.Alternatives.index in
   List.map
     (fun ops ->
       let lb, ub = bounds_with ctx ops in
       Explanation.make ~sa:sa_index ~lb ~ub ops)
-    (Set_set.elements (candidate_sets tr fs))
+    (Set_set.elements (candidate_sets tr fams))
 
 (* Early-terminating top-k variant.  Candidates are evaluated in the
    dominant order of [Explanation.rank] — (cardinality, elements) — and
@@ -400,9 +694,9 @@ let from_trace ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
    evaluated explanations (a superset of the true top k, still to be
    pruned/ranked across SAs) and the number of candidates skipped. *)
 let from_trace_topk ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
-    ~(k : int) (tr : Tracing.t) : Explanation.t list * int =
-  let fs = failure_sets tr in
-  let ctx = bounds_ctx ?sample_stride ~bi ~q tr fs in
+    ~(k : int) ?(capped = ref 0) (tr : Tracing.t) : Explanation.t list * int =
+  let fams = families ~capped tr in
+  let ctx = bounds_ctx ?sample_stride ~bi ~q tr fams in
   let sa_index = tr.Tracing.sa.Alternatives.index in
   let k = max 1 k in
   let candidates =
@@ -411,7 +705,7 @@ let from_trace_topk ?sample_stride ~(bi : bounds_input) ~(q : Nrab.Query.t)
         let c = compare (Int_set.cardinal a) (Int_set.cardinal b) in
         if c <> 0 then c
         else compare (Int_set.elements a) (Int_set.elements b))
-      (Set_set.elements (candidate_sets tr fs))
+      (Set_set.elements (candidate_sets tr fams))
   in
   let beats_open ~open_card (e : Explanation.t) =
     let ec = Int_set.cardinal e.Explanation.ops in

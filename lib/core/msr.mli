@@ -14,15 +14,26 @@ open Nested
 module Int_set = Opset.Int_set
 module Set_set = Opset.Set_set
 
-(** Cap on alternative failure sets tracked per row (smallest kept).
-    Each truncation bumps the [msr.failure_sets.capped] counter of
+(** Cap on alternative failure sets tracked per row (smallest kept:
+    fewest operators first, ties in {!Int_set.compare} order).  Each
+    truncation bumps the [msr.failure_sets.capped] counter of
     {!Obs.Metrics.default}. *)
 val max_alternatives : int
 
 (** Memoized failure-set computation over a trace's lineage DAG.  For
     grouping operators, each (preferably consistent) member derivation is
-    an alternative way to influence the group's row. *)
+    an alternative way to influence the group's row.
+
+    A trace of at most [Sys.int_size] (63) operators computes its
+    families as [int] bitmasks, on demand per rid; the sets returned
+    here are converted from them.  A larger trace takes
+    {!failure_sets_tree} and bumps [msr.failure_sets.tree_fallback]. *)
 val failure_sets : Tracing.t -> int -> Set_set.t
+
+(** The tree implementation of {!failure_sets}: the only path for traces
+    of more than 63 operators, and the oracle the bitmask path is tested
+    against.  Same results, same cap. *)
+val failure_sets_tree : Tracing.t -> int -> Set_set.t
 
 (** Rids of root rows matching the why-not question under the
     relaxation (flag-vector reads; no tree reconstruction). *)
@@ -50,7 +61,6 @@ val bounds :
   bi:bounds_input ->
   q:Nrab.Query.t ->
   Tracing.t ->
-  (int -> Set_set.t) ->
   Int_set.t ->
   int * int
 
@@ -63,11 +73,15 @@ val bounds :
     is examined, and the counts are scaled back up into unbiased
     estimates.  Candidate operator sets always come from the consistent
     root rows' failure sets, so a sampled run finds the {e same}
-    explanations with {e estimated} LB/UB bounds. *)
+    explanations with {e estimated} LB/UB bounds.
+
+    [?capped] is incremented once per failure-set truncation in this
+    trace (see {!max_alternatives}). *)
 val from_trace :
   ?sample_stride:int ->
   bi:bounds_input ->
   q:Nrab.Query.t ->
+  ?capped:int ref ->
   Tracing.t ->
   Explanation.t list
 
@@ -81,11 +95,12 @@ val from_trace :
     per-SA top [k], still to be pruned/ranked across SAs) and the number
     of candidates skipped unevaluated.  With [k] ≥ the number of
     candidates the result equals {!from_trace}'s exactly.
-    [?sample_stride] samples the bounds sweep as in {!from_trace}. *)
+    [?sample_stride] and [?capped] are as in {!from_trace}. *)
 val from_trace_topk :
   ?sample_stride:int ->
   bi:bounds_input ->
   q:Nrab.Query.t ->
   k:int ->
+  ?capped:int ref ->
   Tracing.t ->
   Explanation.t list * int

@@ -174,11 +174,13 @@ let run_phases ?approx ~revalidate ~parallel ~cancel ~retry root cursor
     in
     checked "msr" (fun msp ->
         let sample_stride = decision.Approx.stride in
+        let capped = ref 0 in
         let es, skipped =
           match decision.Approx.top_k with
-          | Some k -> Msr.from_trace_topk ~sample_stride ~bi ~q ~k trace
-          | None -> (Msr.from_trace ~sample_stride ~bi ~q trace, 0)
+          | Some k -> Msr.from_trace_topk ~sample_stride ~bi ~q ~k ~capped trace
+          | None -> (Msr.from_trace ~sample_stride ~bi ~q ~capped trace, 0)
         in
+        if !capped > 0 then Obs.Span.set_int msp "capped" !capped;
         let es =
           if decision.Approx.stride > 1 then
             List.map
