@@ -181,9 +181,9 @@ let failure_sets_tree (tr : Tracing.t) : int -> Set_set.t =
    "s ⊆ e" is [s land lnot e = 0].  A row's family is a sorted,
    deduplicated [int array], memoized densely by rid and computed on
    demand from the queried rids (a bottom-up pass would also build the
-   rows no root row reaches).  The bit order makes
-   [cap_order] agree with [cap_sets]' (cardinality, [Int_set.compare])
-   order, so both paths keep the same 64 sets. *)
+   rows no root row reaches).  The bit order makes [cap_order] agree
+   with [cap_sets]' (cardinality, [Int_set.compare]) order, so both
+   paths keep the same 64 sets. *)
 
 let popcount x =
   let rec go n x = if x = 0 then n else go (n + 1) (x land (x - 1)) in
@@ -198,9 +198,9 @@ let cap_order a b =
     let d = a lxor b in
     if a land (d land -d) <> 0 then -1 else 1
 
-(* Sort and deduplicate the first [n] masks of [buf] into a fresh family. *)
-let normalize (buf : int array) (n : int) : int array =
-  let a = Array.sub buf 0 n in
+(* Sort and deduplicate a fresh array of masks into a family. *)
+let normalize (a : int array) : int array =
+  let n = Array.length a in
   Array.sort Int.compare a;
   let m = ref 0 in
   for k = 0 to n - 1 do
@@ -224,7 +224,7 @@ let cap_masks ~capped (fam : int array) : int array =
 
 (* A family with [bit] added to each of its sets. *)
 let add_bit (fam : int array) (bit : int) : int array =
-  normalize (Array.map (fun s -> s lor bit) fam) (Array.length fam)
+  normalize (Array.map (fun s -> s lor bit) fam)
 
 (* Cross-product union of two families of at least two sets each. *)
 let cross_sets ~capped (a : int array) (b : int array) : int array =
@@ -235,7 +235,7 @@ let cross_sets ~capped (a : int array) (b : int array) : int array =
       buf.((x * lb) + y) <- a.(x) lor b.(y)
     done
   done;
-  cap_masks ~capped (normalize buf (la * lb))
+  cap_masks ~capped (normalize buf)
 
 type masks = {
   ids : int array;  (* bit k → op id, ascending *)
@@ -391,8 +391,7 @@ let mask_families ~capped (tr : Tracing.t) : masks =
         | 0 -> dead
         | 1 -> !last
         | _ ->
-          let sets = Array.concat !gathered in
-          intern (cap_masks ~capped (normalize sets (Array.length sets)))
+          intern (cap_masks ~capped (normalize (Array.concat !gathered)))
       end
   in
   { ids; family = (fun rid -> fam (family rid)) }
