@@ -2,7 +2,7 @@
 # server, bench, examples) and runs the full test suite, then a
 # smallest-scale pass over every bench family (the harness itself is
 # code that can rot).  Run before every merge.
-.PHONY: verify build test fuzz bench-smoke bench-chaos bench-obs bench-approx bench-recover bench-fig8
+.PHONY: verify build test fuzz bench-smoke bench-chaos bench-obs bench-approx bench-recover bench-fig8 bench-fig11
 
 verify:
 	dune build @all && dune runtest && $(MAKE) bench-smoke
@@ -30,6 +30,13 @@ bench-smoke:
 # failure sets (MSR against tracing at scale 32).
 bench-fig8:
 	dune exec bench/main.exe -- fig8 -json BENCH_PR13.json
+
+# Schema-alternative sweep (Figure 11): min-of-5 per point, Q3 at scale
+# 8 swept from 1 to 12 SAs with its alternatives widened, recording the
+# tracing phase per SA and its marginal cost per added SA; writes the
+# committed baseline for shared sub-plan tracing.
+bench-fig11:
+	dune exec bench/main.exe -- fig11 -json BENCH_PR14.json
 
 # Budget-ladder acceptance run (exact vs sampled vs top-k vs combined
 # at scales 32-256); writes the committed baseline for the approx PR.

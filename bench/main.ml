@@ -104,6 +104,7 @@ type json_record = {
   jphases : (string * float) list;
   jgc : (string * (float * int)) list;
       (* per-phase (bytes allocated, minor collections) *)
+  jextra : (string * float) list;  (* family-specific numeric fields *)
 }
 
 let json_records : json_record list ref = ref []
@@ -258,7 +259,8 @@ let write_json () =
                field "phases" phases;
                field "alloc_bytes" alloc;
                field "minor_collections" minors;
-             ]))
+             ]
+           @ List.map (fun (k, v) -> field k (Fmt.str "%.3f" v)) r.jextra))
     in
     (* provenance: enough to tell two committed baselines apart *)
     let git_commit =
@@ -397,6 +399,33 @@ let db_rows (inst : Scenarios.Scenario.instance) =
     0
     (Nested.Relation.Db.tables phi.Whynot.Question.db)
 
+(* Min-of-[n] pipeline runs on a settled heap: the fastest run (whose
+   span tree also supplies the GC columns) and each phase's minimum
+   across the runs — the sub-millisecond phases are otherwise dominated
+   by timer/GC noise. *)
+let min_of_runs n run =
+  let reps =
+    List.init n (fun _ ->
+        Gc.full_major ();
+        run ())
+  in
+  let ms r = Obs.Span.duration_ms r.Whynot.Pipeline.span in
+  let best =
+    List.fold_left (fun b r -> if ms r < ms b then r else b) (List.hd reps) reps
+  in
+  let phase_mins =
+    List.map
+      (fun p ->
+        ( p,
+          List.fold_left
+            (fun acc r ->
+              Float.min acc
+                (List.assoc p (Whynot.Pipeline.phase_durations_ms r)))
+            Float.infinity reps ))
+      Whynot.Pipeline.phases
+  in
+  (best, phase_mins)
+
 (* --- Figures 8 and 9: runtime vs dataset size ---------------------------- *)
 
 let fig_scaling ~title ~csv_target ~scenarios ~scales () =
@@ -422,43 +451,8 @@ let fig_scaling ~title ~csv_target ~scenarios ~scales () =
                 Float.min acc ms)
               Float.infinity [ 1; 2; 3; 4; 5 ]
           in
-          Gc.full_major ();
-          (* Best-of-3 for the pipeline too: the sub-millisecond phases
-             are otherwise dominated by timer/GC noise.  Totals and
-             per-phase figures each take the minimum across reps. *)
-          let reps =
-            List.map
-              (fun _ ->
-                Gc.full_major ();
-                run_rp inst)
-              [ 1; 2; 3; 4; 5 ]
-          in
-          let rp =
-            List.fold_left
-              (fun b r ->
-                if
-                  Obs.Span.duration_ms r.Whynot.Pipeline.span
-                  < Obs.Span.duration_ms b.Whynot.Pipeline.span
-                then r
-                else b)
-              (List.hd reps) (List.tl reps)
-          in
+          let rp, phase_mins = min_of_runs 5 (fun () -> run_rp inst) in
           let rp_ms = Obs.Span.duration_ms rp.Whynot.Pipeline.span in
-          let phase_mins =
-            List.map
-              (fun (p, ms) ->
-                ( p,
-                  List.fold_left
-                    (fun acc r ->
-                      match
-                        List.assoc_opt p
-                          (Whynot.Pipeline.phase_durations_ms r)
-                      with
-                      | Some m -> Float.min acc m
-                      | None -> acc)
-                    ms (List.tl reps) ))
-              (Whynot.Pipeline.phase_durations_ms (List.hd reps))
-          in
           Fmt.pr "%-6s %-6d %-8d %-10.2f %-10.2f %-8.1f@." name scale
             (db_rows inst) q_ms rp_ms
             (rp_ms /. Float.max q_ms 0.001);
@@ -479,6 +473,7 @@ let fig_scaling ~title ~csv_target ~scenarios ~scales () =
               jrp_ms = rp_ms;
               jphases = phase_mins;
               jgc = Whynot.Pipeline.phase_gc rp;
+              jextra = [];
             })
         scales)
     scenarios
@@ -525,53 +520,66 @@ let fig10 ?(scale = 2) () =
           jrp_ms = rp_ms;
           jphases = Whynot.Pipeline.phase_durations_ms rp;
           jgc = Whynot.Pipeline.phase_gc rp;
+          jextra = [];
         })
     [ "Q1"; "Q3"; "Q4"; "Q6"; "Q10"; "Q13" ]
 
 (* --- Figure 11: runtime vs number of schema alternatives ----------------- *)
 
-(* Widened alternative groups so that the SA count can actually grow (the
-   paper's TPC-H scenarios reach 12 SAs via three attribute families). *)
-let widened_alternatives name (inst : Scenarios.Scenario.instance) =
-  match name with
-  | "Q3" ->
-    (* the paper's three TPC-H attribute families: discount/tax, the
-       three lineitem dates, and the two order priorities — 2×3×2 = 12
-       schema alternatives *)
-    inst.Scenarios.Scenario.alternatives
-    @ [
-        ( "nested_orders",
-          [
-            [ "o_lineitems"; "l_commitdate" ];
-            [ "o_lineitems"; "l_shipdate" ];
-            [ "o_lineitems"; "l_receiptdate" ];
-          ] );
-        ("nested_orders", [ [ "o_shippriority" ]; [ "o_orderpriority" ] ]);
-      ]
-  | _ -> inst.Scenarios.Scenario.alternatives
+(* Sum of an integer span attribute over every span with [name]. *)
+let sum_attr name attr (r : Whynot.Pipeline.result) =
+  List.fold_left
+    (fun acc s ->
+      match Obs.Span.attr s attr with Some (Obs.Span.Int i) -> acc + i | _ -> acc)
+    0
+    (Obs.Span.find_all (fun s -> Obs.Span.name s = name) r.Whynot.Pipeline.span)
 
-let fig11 ?(scale = 2) () =
-  Fmt.pr "@.== Figure 11: runtime vs number of schema alternatives (scale %d) ==@."
-    scale;
-  Fmt.pr "%-6s %-6s %-8s %-10s@." "scen" "maxSA" "used" "RP ms";
+(* Min-of-[reps] per point.  Q3 runs at [q3_scale] with its alternatives
+   widened to 12 SAs and is swept one SA at a time; each point records
+   the tracing phase per SA and its marginal cost over the previous
+   point — the paper's per-SA cost factor — plus the operators the SAs
+   replayed from shared sub-plan traces. *)
+let fig11 ?(scale = 2) ?(q3_scale = 8) ?(reps = 5) () =
+  Fmt.pr
+    "@.== Figure 11: runtime vs number of schema alternatives (scale %d, Q3 \
+     at %d, min of %d) ==@."
+    scale q3_scale reps;
+  Fmt.pr "%-6s %-6s %-6s %-10s %-11s %-11s %-8s@." "scen" "maxSA" "used"
+    "RP ms" "trace/SA" "marginal" "shared";
   List.iter
     (fun name ->
+      let scale = if name = "Q3" then q3_scale else scale in
       let inst = instance ~scale (scenario name) in
-      let alternatives = widened_alternatives name inst in
+      let alternatives = Scenarios.Registry.widened_alternatives name inst in
+      let prev = ref None in
       List.iter
         (fun max_sas ->
-          let result =
-            Whynot.Pipeline.explain ~parallel:!parallel ~max_sas ~alternatives
-              inst.Scenarios.Scenario.question
+          let result, phase_mins =
+            min_of_runs reps (fun () ->
+                Whynot.Pipeline.explain ~parallel:!parallel ~max_sas
+                  ~alternatives inst.Scenarios.Scenario.question)
           in
           let ms = Obs.Span.duration_ms result.Whynot.Pipeline.span in
-          Fmt.pr "%-6s %-6d %-8d %-10.2f@." name max_sas
-            (List.length result.Whynot.Pipeline.sas)
-            ms;
+          let used = List.length result.Whynot.Pipeline.sas in
+          let tracing = List.assoc "tracing" phase_mins in
+          let marginal =
+            match !prev with
+            | Some (u, t) when used > u ->
+              Some ((tracing -. t) /. float_of_int (used - u))
+            | _ -> None
+          in
+          prev := Some (used, tracing);
+          let shared_ops = sum_attr "tracing" "shared_ops" result in
+          Fmt.pr "%-6s %-6d %-6d %-10.2f %-11.3f %-11s %-8d@." name max_sas used
+            ms
+            (tracing /. float_of_int used)
+            (match marginal with Some m -> Fmt.str "%.3f" m | None -> "-")
+            shared_ops;
           csv "fig11"
             ("scenario,max_sas,used_sas,rp_ms," ^ phase_header)
-            (Fmt.str "%s,%d,%d,%.3f,%s" name max_sas
-               (List.length result.Whynot.Pipeline.sas) ms (phase_cols result));
+            (Fmt.str "%s,%d,%d,%.3f,%s" name max_sas used ms
+               (String.concat ","
+                  (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
           add_json
             {
               jbench = "fig11";
@@ -581,10 +589,18 @@ let fig11 ?(scale = 2) () =
               jquery_ms = None;
               jrpnosa_ms = None;
               jrp_ms = ms;
-              jphases = Whynot.Pipeline.phase_durations_ms result;
+              jphases = phase_mins;
               jgc = Whynot.Pipeline.phase_gc result;
+              jextra =
+                [
+                  ("used_sas", float_of_int used);
+                  ("tracing_per_sa_ms", tracing /. float_of_int used);
+                  ("shared_ops", float_of_int shared_ops);
+                ]
+                @ Option.to_list
+                    (Option.map (fun m -> ("marginal_tracing_ms", m)) marginal);
             })
-        (if name = "Q3" then [ 1; 2; 4; 8; 12 ] else [ 1; 2; 3; 4 ]))
+        (if name = "Q3" then List.init 12 succ else [ 1; 2; 3; 4 ]))
     [ "TASD"; "D1"; "T3"; "D4"; "Q3" ]
 
 (* --- Table 3: operators that can become part of explanations -------------- *)
@@ -1454,7 +1470,7 @@ let smoke () =
   fig8 ~scales:[ 1 ] ();
   fig9 ~scales:[ 1 ] ();
   fig10 ~scale:1 ();
-  fig11 ~scale:1 ();
+  fig11 ~scale:1 ~q3_scale:1 ~reps:1 ();
   bench_approx ~scales:[ 1 ] ();
   bench_recover ~scale:1 ~replicate:2_000 ()
 
@@ -1471,7 +1487,7 @@ let bechamel_tests () =
     mk "fig11/Q3-4sa" (fun () ->
         let inst = instance (scenario "Q3") in
         Whynot.Pipeline.explain ~max_sas:4
-          ~alternatives:(widened_alternatives "Q3" inst)
+          ~alternatives:(Scenarios.Registry.widened_alternatives "Q3" inst)
           inst.Scenarios.Scenario.question);
     mk "table6/C1-rp" (fun () -> run_rp (instance (scenario "C1")));
     mk "table7/wnpp-D4" (fun () ->

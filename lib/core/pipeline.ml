@@ -138,6 +138,8 @@ let run_phases ?approx ~revalidate ~parallel ~cancel ~retry root cursor
     Explanation.t list * Approx.report option =
   let phase parent name f = phase_at cursor parent name f in
   let { h_query = q; h_db = db; h_env = env; h_sas = sas; h_bi = bi } = h in
+  (* Sub-plans the SAs have in common are traced once per explain. *)
+  let shared = Tracing.shared_for sas in
   (* One SA's backtrace→tracing→MSR chain; independent across SAs.  The
      cancellation token is polled before every phase — the pipeline's
      preemption points, so a lapsed deadline is observed within one
@@ -169,8 +171,13 @@ let run_phases ?approx ~revalidate ~parallel ~cancel ~retry root cursor
       checked "tracing" (fun sp ->
           if decision.Approx.stride > 1 then
             Obs.Span.set_int sp "sample_stride" decision.Approx.stride;
-          Tracing.run ~revalidate ~sample_stride:decision.Approx.stride ~env
-            db sa bt)
+          let tr =
+            Tracing.run ~revalidate ~sample_stride:decision.Approx.stride
+              ~shared ~env db sa bt
+          in
+          Obs.Span.set_int sp "shared_ops" tr.Tracing.shared_ops;
+          Obs.Span.set_int sp "shared_rows" tr.Tracing.shared_rows;
+          tr)
     in
     checked "msr" (fun msp ->
         let sample_stride = decision.Approx.stride in

@@ -67,14 +67,15 @@ type op_trace = {
   nip : Nip.t;
   ann : vann;
   rows : trow list Lazy.t;  (* per-row trees, reconstructed on demand *)
-  data_at : int -> Value.t;
-      (* single-row tree, without forcing the whole batch *)
+  data : C.t;  (* the operator's output rows *)
 }
 
 type t = {
   sa : Alternatives.sa;
   ops : op_trace list;  (* topological order: children before parents *)
   root_op : int;
+  shared_ops : int;  (* operators replayed from the shared memo *)
+  shared_rows : int;  (* their rows *)
 }
 
 (* --- Flag vectors ------------------------------------------------------ *)
@@ -119,7 +120,7 @@ let rows_of_ann (ann : vann) (data : C.t) : trow list =
 (* --- Accessors ---------------------------------------------------------- *)
 
 let rows (ot : op_trace) : trow list = Lazy.force ot.rows
-let data_at (ot : op_trace) i = ot.data_at i
+let data_at (ot : op_trace) i = C.get_row ot.data i
 let n_rows (ot : op_trace) = ot.ann.v_n
 let rid0 (ot : op_trace) = ot.ann.v_rid0
 let consistent_at (ot : op_trace) i = bget ot.ann.v_consistent i
@@ -342,11 +343,7 @@ let nip_mask (nip : Nip.t) (b : C.t)
       (ball n true) constraints
   | other -> Bytes.init n (fun i -> chr (Nip.matches (C.get_row b i) other))
 
-(* --- Shared tracing state ----------------------------------------------- *)
-
-type state = { mutable next_rid : int; mutable traces : op_trace list }
-
-(* --- Batch-native relaxed evaluation ----------------------------------- *)
+(* --- Tracing state --------------------------------------------------- *)
 
 (* Per-operator result of the vectorized relaxed evaluation: the data
    batch plus the annotation vectors, before per-row trees exist. *)
@@ -360,6 +357,111 @@ type cres = {
   c_par : parents;
   c_rng : (string * (float * float)) list array option;
 }
+
+(* One operator's finished annotation, before its per-row view exists:
+   the unit the shared memo replays and {!op_trace_of_rec} turns into an
+   {!op_trace} — with a [rows] lazy of its own, since forcing one
+   [Lazy.t] from two domains is unsafe. *)
+type oprec = {
+  r_id : int;
+  r_node : Query.node;
+  r_nip : Nip.t;
+  r_ann : vann;
+  r_data : C.t;
+}
+
+let op_trace_of_rec (r : oprec) : op_trace =
+  {
+    op_id = r.r_id;
+    op_node = r.r_node;
+    nip = r.r_nip;
+    ann = r.r_ann;
+    rows = lazy (rows_of_ann r.r_ann r.r_data);
+    data = r.r_data;
+  }
+
+type state = {
+  mutable next_rid : int;
+  mutable recs : oprec list;  (* newest first *)
+  mutable shared_ops : int;
+  mutable shared_rows : int;
+}
+
+(* --- Shared sub-plan traces ---------------------------------------------- *)
+
+(* Schema alternatives differ only in the parameters of a few operators,
+   so most subtrees of one SA's query recur verbatim in the others.  A
+   traced subtree is a function of the subtree itself, the NIPs of its
+   operators, the rid its first row receives, the sampling stride and the
+   re-validation switch — nothing else of the SA — so one explain traces
+   it once and replays it for every other SA with the same key (the
+   SA-independent part of the paper's merged annotated tables).
+
+   Memory: a slot counts the SAs whose query contains its subtree and
+   have not finished tracing.  A subtree is stored only while another
+   such SA remains, and its entries are dropped when the count reaches
+   zero, so no entry outlives the last SA that could hit it. *)
+type entry = {
+  e_nips : Nip.t list;  (* the subtree's operator NIPs, pre-order *)
+  e_rid : int;  (* rid of the subtree's first row *)
+  e_stride : int;
+  e_reval : bool;
+  e_res : cres;
+  e_recs : oprec list;  (* the subtree's records, newest first *)
+}
+
+type slot = {
+  s_plan : Query.t;
+  mutable s_pending : int;
+  mutable s_entries : entry list;
+}
+
+type shared = { lock : Mutex.t; slots : (int, slot list) Hashtbl.t }
+
+let m_subplans_shared = Obs.Metrics.counter "tracing.subplans.shared"
+
+let rec subplans (q : Query.t) : Query.t list =
+  q :: List.concat_map subplans q.Query.children
+
+let same_plan (a : Query.t) (b : Query.t) = a == b || a = b
+
+let find_slot (sh : shared) (q : Query.t) : slot option =
+  match Hashtbl.find_opt sh.slots q.Query.id with
+  | None -> None
+  | Some l -> List.find_opt (fun s -> same_plan s.s_plan q) l
+
+let shared_for (sas : Alternatives.sa list) : shared =
+  let sh = { lock = Mutex.create (); slots = Hashtbl.create 64 } in
+  List.iter
+    (fun (sa : Alternatives.sa) ->
+      List.iter
+        (fun q ->
+          match find_slot sh q with
+          | Some s -> s.s_pending <- s.s_pending + 1
+          | None ->
+            let l =
+              Option.value ~default:[] (Hashtbl.find_opt sh.slots q.Query.id)
+            in
+            Hashtbl.replace sh.slots q.Query.id
+              ({ s_plan = q; s_pending = 1; s_entries = [] } :: l))
+        (subplans sa.Alternatives.query))
+    sas;
+  sh
+
+(* Called once an SA's trace is complete: its claim on every subtree of
+   its query is released. *)
+let release (sh : shared) (q : Query.t) =
+  Mutex.protect sh.lock (fun () ->
+      List.iter
+        (fun p ->
+          match find_slot sh p with
+          | Some s ->
+            s.s_pending <- max 0 (s.s_pending - 1);
+            if s.s_pending = 0 then s.s_entries <- []
+          | None -> ())
+        (subplans q))
+
+(* --- Batch-native relaxed evaluation ----------------------------------- *)
 
 (* Group rows by code, first-seen group order, members ascending (codes
    are exact for structural equality, so the classes are the groups of
@@ -379,9 +481,129 @@ let group_indices (codes : int array) : int array array =
   Array.of_list
     (List.rev_map (fun cell -> Array.of_list (List.rev !cell)) !order)
 
-let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
+(* Column view of a batch's attributes.  A shape-degenerate batch (rows
+   not all tuples of one label set) falls back to per-row field
+   extraction, once per listed attribute, up front. *)
+let field_cols (b : C.t) (attrs : string list) : string -> C.col =
+  let n = C.length b in
+  let fs =
+    match C.cols b with
+    | Some fs -> fs
+    | None ->
+      List.map
+        (fun a ->
+          ( a,
+            (C.of_values
+               (Array.init n (fun i ->
+                    Option.value ~default:Value.Null
+                      (Value.field a (C.get_row b i)))))
+              .C.row ))
+        attrs
+  in
+  fun a -> match List.assoc_opt a fs with Some col -> col | None -> C.CNull n
+
+(* One output row of γ: its group, whether it aggregates only the
+   group's surviving members, its aggregate values and annotations. *)
+type grow = {
+  g_group : int;
+  g_surv_only : bool;
+  g_vals : Value.t list;
+  g_surviving : bool;
+  g_ranges : (string * (float * float)) list;
+}
+
+(* One aggregate of γ over the members of a group that [keep] selects:
+   its value and its achievable range.  Int and float columns (and
+   count(·)) are folded in member order with the same operations, in
+   the same order, as {!Agg.apply} and {!Agg.achievable_range} on the
+   members' values, so sums, averages and ranges are bit-identical;
+   count-distinct and other columns go through those functions. *)
+let agg_fold (fn : Agg.fn) (src : C.col option) :
+    int array -> (int -> bool) -> Value.t * (float * float) option =
+  (* [x i] is member [i]'s value as a float, [cmp] orders two members
+     like [Value.compare] orders their values, [int_sum] is set for int
+     inputs, whose sum stays an int. *)
+  let numeric ~present ~(x : int -> float) ~(cmp : int -> int -> int)
+      ~(boxed : int -> Value.t) ~(int_sum : (int -> int) option) members keep
+      =
+    let cnt = ref 0 and isum = ref 0 and sum = ref 0. and neg = ref 0.
+    and pos = ref 0. and lo = ref 0. and hi = ref 0. and best = ref (-1) in
+    Array.iter
+      (fun i ->
+        if keep i && present i then begin
+          let f = x i in
+          if !cnt = 0 then begin
+            lo := f;
+            hi := f;
+            best := i
+          end
+          else begin
+            let c = cmp i !best in
+            if (fn = Agg.Min && c < 0) || (fn = Agg.Max && c > 0) then best := i
+          end;
+          incr cnt;
+          Option.iter (fun v -> isum := !isum + v i) int_sum;
+          sum := !sum +. f;
+          if f < 0. then neg := !neg +. f;
+          if f > 0. then pos := !pos +. f;
+          (* [Stdlib.min] / [Stdlib.max], as the range folds apply them *)
+          lo := if !lo <= f then !lo else f;
+          hi := if !hi >= f then !hi else f
+        end)
+      members;
+    let c = !cnt in
+    let none = c = 0 in
+    match fn with
+    | Agg.Count -> (Value.Int c, Some (0., float_of_int c))
+    | Agg.Sum ->
+      ( (if none then Value.Null
+         else if int_sum <> None then Value.Int !isum
+         else Value.Float !sum),
+        if none then None else Some (!neg, !pos) )
+    | Agg.Avg ->
+      ( (if none then Value.Null else Value.Float (!sum /. float_of_int c)),
+        if none then None else Some (!lo, !hi) )
+    | Agg.Min | Agg.Max ->
+      ( (if none then Value.Null else boxed !best),
+        if none then None else Some (!lo, !hi) )
+    | Agg.Count_distinct -> invalid_arg "Tracing.agg_fold: count distinct"
+  in
+  let generic (value_of : int -> Value.t) members keep =
+    let values =
+      Array.fold_right
+        (fun i acc -> if keep i then value_of i :: acc else acc)
+        members []
+    in
+    (Agg.apply fn values, Agg.achievable_range fn values)
+  in
+  let present p i = match p with None -> true | Some bv -> C.Bitv.get bv i in
+  match fn, src with
+  | Agg.Count_distinct, None -> generic (fun _ -> Value.Int 1)
+  | Agg.Count_distinct, Some col ->
+    let vs = C.col_values col in
+    generic (fun i -> vs.(i))
+  | _, None ->
+    numeric ~present:(fun _ -> true) ~x:(fun _ -> 1.) ~cmp:(fun _ _ -> 0)
+      ~boxed:(fun _ -> Value.Int 1) ~int_sum:(Some (fun _ -> 1))
+  | _, Some (C.CInt (a, p)) ->
+    numeric ~present:(present p)
+      ~x:(fun i -> float_of_int a.(i))
+      ~cmp:(fun i j -> Int.compare a.(i) a.(j))
+      ~boxed:(fun i -> Value.Int a.(i))
+      ~int_sum:(Some (fun i -> a.(i)))
+  | _, Some (C.CFloat (a, p)) ->
+    numeric ~present:(present p)
+      ~x:(fun i -> a.(i))
+      ~cmp:(fun i j -> Float.compare a.(i) a.(j))
+      ~boxed:(fun i -> Value.Float a.(i))
+      ~int_sum:None
+  | _, Some col ->
+    let vs = C.col_values col in
+    generic (fun i -> vs.(i))
+
+let run_cols ~revalidate ~sample_stride ?shared ~(env : Typecheck.env)
     (db : Relation.Db.t) (sa : Alternatives.sa) (bt : Backtrace.t) : t =
-  let st = { next_rid = 0; traces = [] } in
+  let st = { next_rid = 0; recs = []; shared_ops = 0; shared_rows = 0 } in
   let q = sa.Alternatives.query in
   (* Stride-sampled NIP re-validation: gather every [stride]th row (in
      the congruence class of the op's first global rid, so the sampled
@@ -434,7 +656,62 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
     in
     Bytes.init n (fun i -> chr (List.exists cons_of (parents_list par i)))
   in
+  (* A subtree's trace through the shared memo: replay a stored entry
+     with the same key, or trace it and store it while another SA that
+     contains the subtree has yet to finish tracing. *)
   let rec go (op : Query.t) : cres =
+    match shared with
+    | None -> eval op
+    | Some sh -> (
+      match find_slot sh op with
+      | None -> eval op
+      | Some slot -> go_shared sh slot op)
+  and go_shared sh slot op =
+    let nips =
+      List.map
+        (fun (p : Query.t) -> Backtrace.op_nip bt p.Query.id)
+        (subplans op)
+    in
+    let rid = st.next_rid in
+    let same e =
+      e.e_rid = rid && e.e_stride = sample_stride && e.e_reval = revalidate
+      && e.e_nips = nips
+    in
+    let hit =
+      Mutex.protect sh.lock (fun () -> List.find_opt same slot.s_entries)
+    in
+    match hit with
+    | Some e ->
+      st.recs <- e.e_recs @ st.recs;
+      st.next_rid <- e.e_res.c_rid0 + e.e_res.c_n;
+      List.iter
+        (fun r ->
+          st.shared_ops <- st.shared_ops + 1;
+          st.shared_rows <- st.shared_rows + r.r_ann.v_n)
+        e.e_recs;
+      Obs.Metrics.Counter.incr m_subplans_shared;
+      e.e_res
+    | None ->
+      let before = st.recs in
+      let res = eval op in
+      (* the subtree's records: those pushed onto [before] *)
+      let rec added l =
+        if l == before then [] else List.hd l :: added (List.tl l)
+      in
+      Mutex.protect sh.lock (fun () ->
+          if slot.s_pending > 1 && not (List.exists same slot.s_entries) then
+            slot.s_entries <-
+              {
+                e_nips = nips;
+                e_rid = rid;
+                e_stride = sample_stride;
+                e_reval = revalidate;
+                e_res = res;
+                e_recs = added st.recs;
+              }
+              :: slot.s_entries);
+      res
+  and eval (op : Query.t) : cres =
     let nip = Backtrace.op_nip bt op.Query.id in
     (* Record allocates the op's contiguous rid block post-children, so
        rids follow the operator tree in post-order. *)
@@ -453,16 +730,15 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
           v_ranges = rng;
         }
       in
-      st.traces <-
+      st.recs <-
         {
-          op_id = op.Query.id;
-          op_node = op.Query.node;
-          nip;
-          ann;
-          rows = lazy (rows_of_ann ann data);
-          data_at = (fun i -> C.get_row data i);
+          r_id = op.Query.id;
+          r_node = op.Query.node;
+          r_nip = nip;
+          r_ann = ann;
+          r_data = data;
         }
-        :: st.traces;
+        :: st.recs;
       {
         c_rid0 = rid0;
         c_n = n;
@@ -947,23 +1223,39 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
       let inner =
         if nm = C.length joined then joined else C.filter joined mask
       in
+      (* Per input row: matched by some relaxed row, and by some row of
+         the original join (both inputs surviving). *)
       let matched_l = Bytes.make (max ln 1) '\000'
-      and matched_r = Bytes.make (max rn 1) '\000' in
+      and matched_r = Bytes.make (max rn 1) '\000'
+      and surv_matched_l = Bytes.make (max ln 1) '\000'
+      and surv_matched_r = Bytes.make (max rn 1) '\000' in
       Array.iter
         (fun k ->
-          Bytes.set matched_l cand_l.(k) '\001';
-          Bytes.set matched_r cand_r.(k) '\001')
+          let i = cand_l.(k) and j = cand_r.(k) in
+          bset matched_l i true;
+          bset matched_r j true;
+          if bget a.c_surv i && bget b.c_surv j then begin
+            bset surv_matched_l i true;
+            bset surv_matched_r j true
+          end)
         keep;
       let keeps_l = kind = Query.Left || kind = Query.Full in
       let keeps_r = kind = Query.Right || kind = Query.Full in
-      let unmatched mbytes cnt =
+      (* Pad rows: every row without a relaxed match, and — on a side the
+         join keeps — every surviving row without a surviving match, whose
+         pad is in the original result although a relaxed row matches it. *)
+      let unmatched mbytes smbytes surv keeps cnt =
         let out = ref [] in
         for i = cnt - 1 downto 0 do
-          if Bytes.get mbytes i = '\000' then out := i :: !out
+          if
+            (not (bget mbytes i))
+            || (keeps && bget surv i && not (bget smbytes i))
+          then out := i :: !out
         done;
         Array.of_list !out
       in
-      let ul = unmatched matched_l ln and ur = unmatched matched_r rn in
+      let ul = unmatched matched_l surv_matched_l a.c_surv keeps_l ln
+      and ur = unmatched matched_r surv_matched_r b.c_surv keeps_r rn in
       let nl = Array.length ul and nr = Array.length ur in
       let padl =
         if nl = 0 then C.empty
@@ -979,8 +1271,6 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
       in
       let m = nm + nl + nr in
       let ret = Bytes.create m and surv = Bytes.create m in
-      (* An unmatched row is in particular not surv-matched, so the row
-         path's extra [not surv_matched] conjunct on pads is vacuous. *)
       Array.iteri
         (fun o k ->
           bset ret o true;
@@ -1088,27 +1378,7 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
       let attrs = List.map snd pairs in
       let all = List.map fst (fields_of c) in
       let group_attrs = List.filter (fun a -> not (List.mem a attrs)) all in
-      (* Column view of the input; shape-degenerate batches fall back to
-         per-row field extraction once, up front. *)
-      let fcols =
-        match C.cols r.c_data with
-        | Some fs -> fs
-        | None ->
-          List.map
-            (fun a ->
-              ( a,
-                (C.of_values
-                   (Array.init n (fun i ->
-                        Option.value ~default:Value.Null
-                          (Value.field a (C.get_row r.c_data i)))))
-                  .C.row ))
-            all
-      in
-      let col_of a =
-        match List.assoc_opt a fcols with
-        | Some col -> col
-        | None -> C.CNull n
-      in
+      let col_of = field_cols r.c_data all in
       let key_batch =
         C.of_cols n (List.map (fun a -> (a, col_of a)) group_attrs)
       in
@@ -1303,176 +1573,114 @@ let run_cols ~revalidate ~sample_stride ~(env : Typecheck.env)
     | Query.Group_agg (group, aggs), [ c ] ->
       let r = go c in
       let n = r.c_n in
-      let ucols = C.cols r.c_data in
-      let coder = C.Coder.create () in
-      let gattrs = List.map snd group in
-      let key_codes =
-        match ucols with
-        | Some fs -> (
-          match gattrs with
-          | [] -> Array.make n 0
-          | gattrs ->
-            C.Coder.mix coder
-              (List.map
-                 (fun a ->
-                   C.Coder.col_codes coder
-                     (match List.assoc_opt a fs with
-                     | Some col -> col
-                     | None -> C.CNull n))
-                 gattrs))
-        | None ->
-          Array.init n (fun i ->
-              C.Coder.value_code coder
-                (Value.Tuple
-                   (List.map
-                      (fun (label, a) ->
-                        ( label,
-                          Option.value ~default:Value.Null
-                            (Value.field a (C.get_row r.c_data i)) ))
-                      group)))
+      let col_of =
+        field_cols r.c_data
+          (List.map snd group @ List.filter_map (fun (_, a, _) -> a) aggs)
       in
-      let groups = group_indices key_codes in
-      let reps = Array.map (fun m -> m.(0)) groups in
-      let key_vals =
-        match ucols with
-        | Some fs ->
-          C.to_values
-            (C.gather
-               (C.of_cols n
-                  (List.map
-                     (fun (label, a) ->
-                       ( label,
-                         match List.assoc_opt a fs with
-                         | Some col -> col
-                         | None -> C.CNull n ))
-                     group))
-               reps)
-        | None ->
-          Array.map
-            (fun i ->
-              Value.Tuple
-                (List.map
-                   (fun (label, a) ->
-                     ( label,
-                       Option.value ~default:Value.Null
-                         (Value.field a (C.get_row r.c_data i)) ))
-                   group))
-            reps
+      let groups =
+        group_indices (C.eqclasses n (List.map (fun (_, a) -> col_of a) group))
       in
-      (* One member-value accessor per aggregate, column-materialized on
-         the uniform path. *)
-      let member_value_of : (int -> Value.t) list =
-        List.map
-          (fun (_, a, _) ->
-            match a with
-            | None -> fun _ -> Value.Int 1
-            | Some a -> (
-              match ucols with
-              | Some fs ->
-                let vs =
-                  C.col_values
-                    (match List.assoc_opt a fs with
-                    | Some col -> col
-                    | None -> C.CNull n)
-                in
-                fun i -> vs.(i)
-              | None ->
-                fun i ->
-                  Option.value ~default:Value.Null
-                    (Value.field a (C.get_row r.c_data i))))
-          aggs
+      let key_batch =
+        C.of_cols n (List.map (fun (label, a) -> (label, col_of a)) group)
       in
-      let aggregate members =
-        let agg_fields_and_ranges =
-          List.map2
-            (fun (fn, _, out) getv ->
-              let values = List.map getv members in
-              let field = (out, Agg.apply fn values) in
-              let range =
-                Option.map (fun iv -> (out, iv)) (Agg.achievable_range fn values)
-              in
-              (field, range))
-            aggs member_value_of
-        in
-        ( List.map fst agg_fields_and_ranges,
-          List.filter_map snd agg_fields_and_ranges )
+      let folds =
+        List.map (fun (fn, a, _) -> agg_fold fn (Option.map col_of a)) aggs
       in
-      let vals = ref []
-      and rets = ref []
-      and survs = ref []
-      and pars = ref []
-      and rngs = ref []
-      and cnt = ref 0 in
-      let emit v ~retained ~surviving ~parents ~ranges =
-        vals := v :: !vals;
-        rets := retained :: !rets;
-        survs := surviving :: !survs;
-        pars := parents :: !pars;
-        rngs := ranges :: !rngs;
-        incr cnt
-      in
+      let surviving i = bget r.c_surv i in
+      (* Per group, the relaxed row (every member), then — when the
+         surviving members aggregate differently — the original row. *)
+      let out = ref [] in
       Array.iteri
         (fun gi members ->
-          let k = key_vals.(gi) in
-          let member_list = Array.to_list members in
-          let fields, ranges = aggregate member_list in
-          let relaxed_data = Value.concat_tuples k (Value.Tuple fields) in
-          let surviving_members =
-            List.filter (fun i -> bget r.c_surv i) member_list
+          let relaxed = List.map (fun f -> f members (fun _ -> true)) folds in
+          let vals = List.map fst relaxed in
+          let original =
+            if Array.exists surviving members then
+              Some (List.map (fun f -> fst (f members surviving)) folds)
+            else None
           in
-          let original_data =
-            if surviving_members = [] then None
-            else
-              let fields, _ = aggregate surviving_members in
-              Some (Value.concat_tuples k (Value.Tuple fields))
-          in
-          emit relaxed_data ~retained:true
-            ~surviving:(original_data = Some relaxed_data)
-            ~parents:(List.map (fun i -> r.c_rid0 + i) member_list)
-            ~ranges;
-          match original_data with
-          | Some od when od <> relaxed_data ->
-            emit od ~retained:true ~surviving:true
-              ~parents:(List.map (fun i -> r.c_rid0 + i) surviving_members)
-              ~ranges:[]
+          out :=
+            {
+              g_group = gi;
+              g_surv_only = false;
+              g_vals = vals;
+              g_surviving = original = Some vals;
+              g_ranges =
+                List.concat
+                  (List.map2
+                     (fun (_, _, name) (_, iv) ->
+                       match iv with Some iv -> [ (name, iv) ] | None -> [])
+                     aggs relaxed);
+            }
+            :: !out;
+          match original with
+          | Some ov when ov <> vals ->
+            out :=
+              {
+                g_group = gi;
+                g_surv_only = true;
+                g_vals = ov;
+                g_surviving = true;
+                g_ranges = [];
+              }
+              :: !out
           | _ -> ())
         groups;
-      let m = !cnt in
-      let data = C.of_values (Array.of_list (List.rev !vals)) in
-      let ret = Bytes.create m and surv = Bytes.create m in
-      List.iteri (fun o v -> bset ret o v) (List.rev !rets);
-      List.iteri (fun o v -> bset surv o v) (List.rev !survs);
-      let rng = norm_rng (Array.of_list (List.rev !rngs)) in
-      let plists = Array.of_list (List.rev !pars) in
-      let total = Array.fold_left (fun acc l -> acc + List.length l) 0 plists in
+      let rows = Array.of_list (List.rev !out) in
+      let m = Array.length rows in
+      let data =
+        if m = 0 then C.empty
+        else
+          C.hstack
+            (C.gather key_batch
+               (Array.map (fun o -> groups.(o.g_group).(0)) rows))
+            (C.of_cols m
+               (List.mapi
+                  (fun j (_, _, name) ->
+                    let vals = Array.map (fun o -> List.nth o.g_vals j) rows in
+                    (name, (C.of_values vals).C.row))
+                  aggs))
+      in
+      let members_of o =
+        let ms = groups.(o.g_group) in
+        if o.g_surv_only then
+          Array.of_list (List.filter surviving (Array.to_list ms))
+        else ms
+      in
+      let plists = Array.map members_of rows in
       let off = Array.make (m + 1) 0 in
-      let flat = Array.make total 0 in
-      let k = ref 0 in
+      Array.iteri (fun o ms -> off.(o + 1) <- off.(o) + Array.length ms) plists;
+      let flat = Array.make off.(m) 0 in
       Array.iteri
-        (fun o l ->
-          off.(o) <- !k;
-          List.iter
-            (fun p ->
-              flat.(!k) <- p;
-              incr k)
-            l)
+        (fun o ms ->
+          Array.iteri (fun j i -> flat.(off.(o) + j) <- r.c_rid0 + i) ms)
         plists;
-      off.(m) <- !k;
       let par = P_many (off, flat) in
+      let rng = norm_rng (Array.map (fun o -> o.g_ranges) rows) in
       crecord ~data
         ~cons:(reval_cons ~children:[ r ] ~data ~rng ~par)
-        ~ret ~surv ~par ~rng
+        ~ret:(ball m true)
+        ~surv:(Bytes.init m (fun o -> chr rows.(o).g_surviving))
+        ~par ~rng
     | _ -> invalid_arg "Tracing.run: malformed query"
   in
   ignore (go q);
-  { sa; ops = List.rev st.traces; root_op = q.Query.id }
+  Option.iter (fun sh -> release sh q) shared;
+  {
+    sa;
+    ops = List.rev_map op_trace_of_rec st.recs;
+    root_op = q.Query.id;
+    shared_ops = st.shared_ops;
+    shared_rows = st.shared_rows;
+  }
 
 let site_relaxed = Obs.Faultinject.register_site "tracing.relaxed"
 
-let run ?(revalidate = true) ?(sample_stride = 1) ~(env : Typecheck.env)
-    (db : Relation.Db.t) (sa : Alternatives.sa) (bt : Backtrace.t) : t =
+let run ?(revalidate = true) ?(sample_stride = 1) ?shared
+    ~(env : Typecheck.env) (db : Relation.Db.t) (sa : Alternatives.sa)
+    (bt : Backtrace.t) : t =
   (* Chaos hook: fires once per SA's relaxed evaluation, inside the
      pipeline's per-phase retry scope, so an armed transient fault here
      is recomputed from the (immutable) backtrace and database. *)
   Obs.Faultinject.fire site_relaxed;
-  run_cols ~revalidate ~sample_stride ~env db sa bt
+  run_cols ~revalidate ~sample_stride ?shared ~env db sa bt

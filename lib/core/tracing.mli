@@ -64,14 +64,18 @@ type op_trace = {
   ann : vann;
   rows : trow list Lazy.t;
       (** per-row trees, reconstructed on demand — force via {!rows} *)
-  data_at : int -> Value.t;
-      (** single-row tree, without forcing the whole batch *)
+  data : Engine.Columnar.t;
+      (** the operator's output rows; {!data_at} reconstructs one *)
 }
 
 type t = {
   sa : Alternatives.sa;
   ops : op_trace list;  (** topological order: children before parents *)
   root_op : int;
+  shared_ops : int;
+      (** operators whose annotations were replayed from a {!shared} memo
+          rather than traced (0 without one) *)
+  shared_rows : int;  (** the rows of those operators *)
 }
 
 (** {1 Accessors} *)
@@ -103,6 +107,21 @@ val row_matches : Nip.t -> Value.t -> (string * (float * float)) list -> bool
 
 val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 
+(** {1 Tracing} *)
+
+(** A per-explain memo of traced sub-plans, shared by the schema
+    alternatives of one explain.  A subtree's annotations depend only on
+    the subtree, the NIPs of its operators, the rid of its first row,
+    [sample_stride] and [revalidate]; an SA whose subtree matches an
+    earlier SA's on all of these replays that trace instead of
+    re-evaluating it, with the same rids, flags, parents, ranges and row
+    data.  Safe to share between domains. *)
+type shared
+
+(** A memo for tracing (a subset of) [sas].  A subtree is kept only
+    while an SA of [sas] that contains it has not finished tracing. *)
+val shared_for : Alternatives.sa list -> shared
+
 (** Trace one schema alternative.  [bt] must be the backtrace of the SA's
     (substituted) query, by a batch-native relaxed evaluation over
     {!Engine.Columnar} batches.  Each operator's rows receive one
@@ -120,10 +139,15 @@ val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
     read inconsistent.  Rids depend only on the query and the data, so
     a sampled trace is deterministic.  Sampling makes the consistent set (and hence the explanations
     derived from it) a 1-in-N subsample — callers must surface the
-    [1/stride] confidence. *)
+    [1/stride] confidence.
+
+    [shared] reuses the traces of sub-plans this SA has in common with
+    the other SAs of the memo (see {!shared}); the result equals the
+    unshared trace op by op. *)
 val run :
   ?revalidate:bool ->
   ?sample_stride:int ->
+  ?shared:shared ->
   env:Typecheck.env ->
   Relation.Db.t ->
   Alternatives.sa ->

@@ -7,3 +7,9 @@ val all : Scenario.t list
 
 (** Case-insensitive lookup by scenario name. *)
 val find : string -> Scenario.t option
+
+(** The alternative groups of Fig. 11's SA sweep: for Q3, its own groups
+    widened with the lineitem-date and order-priority families (12
+    schema alternatives); for every other scenario, its own groups. *)
+val widened_alternatives :
+  string -> Scenario.instance -> Whynot.Alternatives.alternatives
