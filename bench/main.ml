@@ -534,11 +534,25 @@ let sum_attr name attr (r : Whynot.Pipeline.result) =
     0
     (Obs.Span.find_all (fun s -> Obs.Span.name s = name) r.Whynot.Pipeline.span)
 
+(* Least-squares slope of [y] over [x]; [None] with fewer than two
+   distinct [x]. *)
+let slope (pts : (float * float) list) =
+  let n = float_of_int (List.length pts) in
+  let mx = List.fold_left (fun a (x, _) -> a +. x) 0. pts /. n in
+  let my = List.fold_left (fun a (_, y) -> a +. y) 0. pts /. n in
+  let sxx = List.fold_left (fun a (x, _) -> a +. ((x -. mx) ** 2.)) 0. pts in
+  let sxy =
+    List.fold_left (fun a (x, y) -> a +. ((x -. mx) *. (y -. my))) 0. pts
+  in
+  if sxx = 0. then None else Some (sxy /. sxx)
+
 (* Min-of-[reps] per point.  Q3 runs at [q3_scale] with its alternatives
-   widened to 12 SAs and is swept one SA at a time; each point records
-   the tracing phase per SA and its marginal cost over the previous
-   point — the paper's per-SA cost factor — plus the operators the SAs
-   replayed from shared sub-plan traces. *)
+   widened to 12 SAs and is swept one SA at a time.  Each point records
+   the tracing phase per SA, its marginal cost over the previous point,
+   and the operators the SAs replayed from shared sub-plan traces; the
+   last point of a sweep also carries the least-squares slope of the
+   tracing phase over the SA count — the paper's per-SA cost factor,
+   steadier than the point-to-point differences. *)
 let fig11 ?(scale = 2) ?(q3_scale = 8) ?(reps = 5) () =
   Fmt.pr
     "@.== Figure 11: runtime vs number of schema alternatives (scale %d, Q3 \
@@ -551,56 +565,76 @@ let fig11 ?(scale = 2) ?(q3_scale = 8) ?(reps = 5) () =
       let scale = if name = "Q3" then q3_scale else scale in
       let inst = instance ~scale (scenario name) in
       let alternatives = Scenarios.Registry.widened_alternatives name inst in
-      let prev = ref None in
-      List.iter
-        (fun max_sas ->
-          let result, phase_mins =
-            min_of_runs reps (fun () ->
-                Whynot.Pipeline.explain ~parallel:!parallel ~max_sas
-                  ~alternatives inst.Scenarios.Scenario.question)
-          in
-          let ms = Obs.Span.duration_ms result.Whynot.Pipeline.span in
-          let used = List.length result.Whynot.Pipeline.sas in
-          let tracing = List.assoc "tracing" phase_mins in
-          let marginal =
-            match !prev with
-            | Some (u, t) when used > u ->
-              Some ((tracing -. t) /. float_of_int (used - u))
-            | _ -> None
-          in
-          prev := Some (used, tracing);
-          let shared_ops = sum_attr "tracing" "shared_ops" result in
-          Fmt.pr "%-6s %-6d %-6d %-10.2f %-11.3f %-11s %-8d@." name max_sas used
-            ms
-            (tracing /. float_of_int used)
-            (match marginal with Some m -> Fmt.str "%.3f" m | None -> "-")
-            shared_ops;
-          csv "fig11"
-            ("scenario,max_sas,used_sas,rp_ms," ^ phase_header)
-            (Fmt.str "%s,%d,%d,%.3f,%s" name max_sas used ms
-               (String.concat ","
-                  (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
-          add_json
-            {
-              jbench = "fig11";
-              jscenario = Fmt.str "%s/%dsa" name max_sas;
-              jscale = scale;
-              jrows = db_rows inst;
-              jquery_ms = None;
-              jrpnosa_ms = None;
-              jrp_ms = ms;
-              jphases = phase_mins;
-              jgc = Whynot.Pipeline.phase_gc result;
-              jextra =
-                [
-                  ("used_sas", float_of_int used);
-                  ("tracing_per_sa_ms", tracing /. float_of_int used);
-                  ("shared_ops", float_of_int shared_ops);
-                ]
-                @ Option.to_list
-                    (Option.map (fun m -> ("marginal_tracing_ms", m)) marginal);
-            })
-        (if name = "Q3" then List.init 12 succ else [ 1; 2; 3; 4 ]))
+      let points =
+        List.map
+          (fun max_sas ->
+            let result, phase_mins =
+              min_of_runs reps (fun () ->
+                  Whynot.Pipeline.explain ~parallel:!parallel ~max_sas
+                    ~alternatives inst.Scenarios.Scenario.question)
+            in
+            (max_sas, result, phase_mins))
+          (if name = "Q3" then List.init 12 succ else [ 1; 2; 3; 4 ])
+      in
+      let used_of (_, r, _) = List.length r.Whynot.Pipeline.sas in
+      let tracing_of (_, _, phase_mins) = List.assoc "tracing" phase_mins in
+      let fit =
+        slope
+          (List.map (fun p -> (float_of_int (used_of p), tracing_of p)) points)
+      in
+      let last = List.length points - 1 in
+      ignore
+        (List.fold_left
+           (fun (k, prev) ((max_sas, result, phase_mins) as p) ->
+             let ms = Obs.Span.duration_ms result.Whynot.Pipeline.span in
+             let used = used_of p and tracing = tracing_of p in
+             let marginal =
+               match prev with
+               | Some (u, t) when used > u ->
+                 Some ((tracing -. t) /. float_of_int (used - u))
+               | _ -> None
+             in
+             let shared_ops = sum_attr "tracing" "shared_ops" result in
+             Fmt.pr "%-6s %-6d %-6d %-10.2f %-11.3f %-11s %-8d@." name max_sas
+               used ms
+               (tracing /. float_of_int used)
+               (match marginal with Some m -> Fmt.str "%.3f" m | None -> "-")
+               shared_ops;
+             csv "fig11"
+               ("scenario,max_sas,used_sas,rp_ms," ^ phase_header)
+               (Fmt.str "%s,%d,%d,%.3f,%s" name max_sas used ms
+                  (String.concat ","
+                     (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
+             add_json
+               {
+                 jbench = "fig11";
+                 jscenario = Fmt.str "%s/%dsa" name max_sas;
+                 jscale = scale;
+                 jrows = db_rows inst;
+                 jquery_ms = None;
+                 jrpnosa_ms = None;
+                 jrp_ms = ms;
+                 jphases = phase_mins;
+                 jgc = Whynot.Pipeline.phase_gc result;
+                 jextra =
+                   [
+                     ("used_sas", float_of_int used);
+                     ("tracing_per_sa_ms", tracing /. float_of_int used);
+                     ("shared_ops", float_of_int shared_ops);
+                   ]
+                   @ Option.to_list
+                       (Option.map (fun m -> ("marginal_tracing_ms", m)) marginal)
+                   @
+                   if k = last then
+                     Option.to_list
+                       (Option.map (fun f -> ("tracing_slope_ms", f)) fit)
+                   else [];
+               };
+             (k + 1, Some (used, tracing)))
+           (0, None) points);
+      Option.iter
+        (fun f -> Fmt.pr "%-6s tracing per added SA (least squares): %.3f ms@." name f)
+        fit)
     [ "TASD"; "D1"; "T3"; "D4"; "Q3" ]
 
 (* --- Table 3: operators that can become part of explanations -------------- *)

@@ -1239,7 +1239,9 @@ let eqclasses (n : int) (cs : col list) : int array =
   | [ CStr (codes, Some p) ] ->
     eqclasses_codes n (fun i -> if Bitv.get p i then codes.(i) else min_int)
   | [ CInt (a, None) ] -> eqclasses_codes n (fun i -> a.(i))
-  | [ CInt (a, Some p) ] ->
+  | [ CInt (a, Some p) ]
+    when not (Array.exists (fun v -> v = min_int) a) ->
+    (* [min_int] is free to mark Null only when no stored value is it *)
     eqclasses_codes n (fun i -> if Bitv.get p i then a.(i) else min_int)
   | _ -> eqclasses_general n cs
 

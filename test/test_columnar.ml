@@ -233,6 +233,13 @@ let test_dict_dedup () =
   Alcotest.(check bool) "at most two new strings" true (after - before <= 2);
   Alcotest.(check bool) "roundtrip" true (eq_rows (C.to_rows b) rows)
 
+(* A present [min_int] is a value like any other: it must not share an
+   equivalence class with Null. *)
+let test_eqclasses_min_int () =
+  let b = C.of_values [| Value.Int min_int; Value.Null; Value.Int min_int; Value.Null |] in
+  Alcotest.(check (array int)) "Null and min_int stay apart" [| 0; 1; 0; 1 |]
+    (C.eqclasses 4 [ b.C.row ])
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -257,5 +264,7 @@ let () =
           Alcotest.test_case "all-null join keys" `Quick test_all_null_column;
           Alcotest.test_case "mixed-shape fallback" `Quick test_mixed_shape_fallback;
           Alcotest.test_case "dictionary dedup" `Quick test_dict_dedup;
+          Alcotest.test_case "eqclasses: min_int vs Null" `Quick
+            test_eqclasses_min_int;
         ] );
     ]
