@@ -583,57 +583,57 @@ let fig11 ?(scale = 2) ?(q3_scale = 8) ?(reps = 5) () =
           (List.map (fun p -> (float_of_int (used_of p), tracing_of p)) points)
       in
       let last = List.length points - 1 in
-      ignore
-        (List.fold_left
-           (fun (k, prev) ((max_sas, result, phase_mins) as p) ->
-             let ms = Obs.Span.duration_ms result.Whynot.Pipeline.span in
-             let used = used_of p and tracing = tracing_of p in
-             let marginal =
-               match prev with
-               | Some (u, t) when used > u ->
-                 Some ((tracing -. t) /. float_of_int (used - u))
-               | _ -> None
-             in
-             let shared_ops = sum_attr "tracing" "shared_ops" result in
-             Fmt.pr "%-6s %-6d %-6d %-10.2f %-11.3f %-11s %-8d@." name max_sas
-               used ms
-               (tracing /. float_of_int used)
-               (match marginal with Some m -> Fmt.str "%.3f" m | None -> "-")
-               shared_ops;
-             csv "fig11"
-               ("scenario,max_sas,used_sas,rp_ms," ^ phase_header)
-               (Fmt.str "%s,%d,%d,%.3f,%s" name max_sas used ms
-                  (String.concat ","
-                     (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
-             add_json
-               {
-                 jbench = "fig11";
-                 jscenario = Fmt.str "%s/%dsa" name max_sas;
-                 jscale = scale;
-                 jrows = db_rows inst;
-                 jquery_ms = None;
-                 jrpnosa_ms = None;
-                 jrp_ms = ms;
-                 jphases = phase_mins;
-                 jgc = Whynot.Pipeline.phase_gc result;
-                 jextra =
-                   [
-                     ("used_sas", float_of_int used);
-                     ("tracing_per_sa_ms", tracing /. float_of_int used);
-                     ("shared_ops", float_of_int shared_ops);
-                   ]
-                   @ Option.to_list
-                       (Option.map (fun m -> ("marginal_tracing_ms", m)) marginal)
-                   @
-                   if k = last then
-                     Option.to_list
-                       (Option.map (fun f -> ("tracing_slope_ms", f)) fit)
-                   else [];
-               };
-             (k + 1, Some (used, tracing)))
-           (0, None) points);
+      let prev = ref None in
+      List.iteri
+        (fun k ((max_sas, result, phase_mins) as p) ->
+          let ms = Obs.Span.duration_ms result.Whynot.Pipeline.span in
+          let used = used_of p and tracing = tracing_of p in
+          let marginal =
+            match !prev with
+            | Some (u, t) when used > u ->
+              Some ((tracing -. t) /. float_of_int (used - u))
+            | _ -> None
+          in
+          let shared_ops = sum_attr "tracing" "shared_ops" result in
+          Fmt.pr "%-6s %-6d %-6d %-10.2f %-11.3f %-11s %-8d@." name max_sas
+            used ms
+            (tracing /. float_of_int used)
+            (match marginal with Some m -> Fmt.str "%.3f" m | None -> "-")
+            shared_ops;
+          csv "fig11"
+            ("scenario,max_sas,used_sas,rp_ms," ^ phase_header)
+            (Fmt.str "%s,%d,%d,%.3f,%s" name max_sas used ms
+               (String.concat ","
+                  (List.map (fun (_, ms) -> Fmt.str "%.3f" ms) phase_mins)));
+          add_json
+            {
+              jbench = "fig11";
+              jscenario = Fmt.str "%s/%dsa" name max_sas;
+              jscale = scale;
+              jrows = db_rows inst;
+              jquery_ms = None;
+              jrpnosa_ms = None;
+              jrp_ms = ms;
+              jphases = phase_mins;
+              jgc = Whynot.Pipeline.phase_gc result;
+              jextra =
+                [
+                  ("used_sas", float_of_int used);
+                  ("tracing_per_sa_ms", tracing /. float_of_int used);
+                  ("shared_ops", float_of_int shared_ops);
+                ]
+                @ Option.to_list
+                    (Option.map (fun m -> ("marginal_tracing_ms", m)) marginal)
+                @
+                if k = last then
+                  Option.to_list
+                    (Option.map (fun f -> ("tracing_slope_ms", f)) fit)
+                else [];
+            };
+          prev := Some (used, tracing))
+        points;
       Option.iter
-        (fun f -> Fmt.pr "%-6s tracing per added SA (least squares): %.3f ms@." name f)
+        (Fmt.pr "%-6s tracing per added SA (least squares): %.3f ms@." name)
         fit)
     [ "TASD"; "D1"; "T3"; "D4"; "Q3" ]
 
