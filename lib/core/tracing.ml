@@ -416,50 +416,55 @@ type slot = {
   mutable s_entries : entry list;
 }
 
-type shared = { lock : Mutex.t; slots : (int, slot list) Hashtbl.t }
+type shared = {
+  lock : Mutex.t;
+  plans : (Query.t * (Query.t * slot) list) list;
+      (* per SA query of the memo: each of its subtrees with its slot *)
+}
 
 let m_subplans_shared = Obs.Metrics.counter "tracing.subplans.shared"
 
 let rec subplans (q : Query.t) : Query.t list =
   q :: List.concat_map subplans q.Query.children
 
-let same_plan (a : Query.t) (b : Query.t) = a == b || a = b
-
-let find_slot (sh : shared) (q : Query.t) : slot option =
-  match Hashtbl.find_opt sh.slots q.Query.id with
-  | None -> None
-  | Some l -> List.find_opt (fun s -> same_plan s.s_plan q) l
-
+(* Slots are matched by the whole subtree, not the root's op id alone:
+   ids need not be unique within a query. *)
 let shared_for (sas : Alternatives.sa list) : shared =
-  let sh = { lock = Mutex.create (); slots = Hashtbl.create 64 } in
-  List.iter
-    (fun (sa : Alternatives.sa) ->
-      List.iter
-        (fun q ->
-          match find_slot sh q with
-          | Some s -> s.s_pending <- s.s_pending + 1
-          | None ->
-            let l =
-              Option.value ~default:[] (Hashtbl.find_opt sh.slots q.Query.id)
-            in
-            Hashtbl.replace sh.slots q.Query.id
-              ({ s_plan = q; s_pending = 1; s_entries = [] } :: l))
-        (subplans sa.Alternatives.query))
-    sas;
-  sh
+  let slots = Hashtbl.create 64 in
+  let slot_of (p : Query.t) =
+    match
+      List.find_opt
+        (fun s -> s.s_plan == p || s.s_plan = p)
+        (Hashtbl.find_all slots p.Query.id)
+    with
+    | Some s ->
+      s.s_pending <- s.s_pending + 1;
+      s
+    | None ->
+      let s = { s_plan = p; s_pending = 1; s_entries = [] } in
+      Hashtbl.add slots p.Query.id s;
+      s
+  in
+  let plan (sa : Alternatives.sa) =
+    let q = sa.Alternatives.query in
+    (q, List.map (fun p -> (p, slot_of p)) (subplans q))
+  in
+  { lock = Mutex.create (); plans = List.map plan sas }
+
+(* The subtrees of a query with their slots; a query that is not one of
+   the memo's (by identity) has none and traces unshared. *)
+let slots_of (sh : shared) (q : Query.t) : (Query.t * slot) list =
+  Option.value ~default:[] (List.assq_opt q sh.plans)
 
 (* Called once an SA's trace is complete: its claim on every subtree of
    its query is released. *)
-let release (sh : shared) (q : Query.t) =
+let release (sh : shared) (by_node : (Query.t * slot) list) =
   Mutex.protect sh.lock (fun () ->
       List.iter
-        (fun p ->
-          match find_slot sh p with
-          | Some s ->
-            s.s_pending <- max 0 (s.s_pending - 1);
-            if s.s_pending = 0 then s.s_entries <- []
-          | None -> ())
-        (subplans q))
+        (fun (_, s) ->
+          s.s_pending <- max 0 (s.s_pending - 1);
+          if s.s_pending = 0 then s.s_entries <- [])
+        by_node)
 
 (* --- Batch-native relaxed evaluation ----------------------------------- *)
 
@@ -659,13 +664,17 @@ let run_cols ~revalidate ~sample_stride ?shared ~(env : Typecheck.env)
   (* A subtree's trace through the shared memo: replay a stored entry
      with the same key, or trace it and store it while another SA that
      contains the subtree has yet to finish tracing. *)
+  let memo = Option.map (fun sh -> (sh, slots_of sh q)) shared in
   let rec go (op : Query.t) : cres =
-    match shared with
+    match memo with
     | None -> eval op
-    | Some sh -> (
-      match find_slot sh op with
-      | None -> eval op
-      | Some slot -> go_shared sh slot op)
+    | Some (sh, by_node) -> (
+      match List.assq_opt op by_node with
+      | Some slot
+        when Mutex.protect sh.lock (fun () ->
+                 slot.s_pending > 1 || slot.s_entries <> []) ->
+        go_shared sh slot op
+      | _ -> eval op)
   and go_shared sh slot op =
     let nips =
       List.map
@@ -1665,7 +1674,7 @@ let run_cols ~revalidate ~sample_stride ?shared ~(env : Typecheck.env)
     | _ -> invalid_arg "Tracing.run: malformed query"
   in
   ignore (go q);
-  Option.iter (fun sh -> release sh q) shared;
+  Option.iter (fun (sh, by_node) -> release sh by_node) memo;
   {
     sa;
     ops = List.rev_map op_trace_of_rec st.recs;

@@ -119,7 +119,8 @@ val interval_satisfies : Expr.cmp -> Value.t -> float * float -> bool
 type shared
 
 (** A memo for tracing (a subset of) [sas].  A subtree is kept only
-    while an SA of [sas] that contains it has not finished tracing. *)
+    while an SA of [sas] that contains it has not finished tracing.  An
+    SA whose [query] is not physically one of [sas]'s traces unshared. *)
 val shared_for : Alternatives.sa list -> shared
 
 (** Trace one schema alternative.  [bt] must be the backtrace of the SA's
